@@ -6,7 +6,7 @@ for enumerations) or DOT, and is byte-identical across identical invocations;
 wall-clock timings are only emitted behind --timings.
 
 HURWITZ_THREADS caps the verify sweep's worker processes (0 = one per CPU,
-unset = serial).
+unset = serial); any other value than a nonnegative integer is an error.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import time
 from .core import HurwitzError, Partition, RZero, format_rational, hurwitz_params
 from .permutation import count_hurwitz_permutation, enumerate_monodromy_sets
 from .ribbon import (
+    check_ribbon_r,
     count_hurwitz_ribbon,
     enumerate_skeletons,
     hurwitz_ribbon_classes,
@@ -56,13 +57,15 @@ def _params_from(args):
 
 
 def cmd_compute(args) -> int:
-    try:
-        params = _params_from(args)
-    except (HurwitzError, ValueError) as exc:
-        return _fail(str(exc))
     wanted = (
         list(METHODS) if args.method == "all" else [args.method]
     )
+    try:
+        params = _params_from(args)
+        if "ribbon" in wanted:
+            check_ribbon_r(params.r)
+    except (HurwitzError, ValueError) as exc:
+        return _fail(str(exc))
     values = {}
     timings = {}
     for name in wanted:
@@ -183,18 +186,26 @@ def worker_count() -> int:
         return 1
     try:
         n = int(raw)
+        if n < 0:
+            raise ValueError
     except ValueError:
-        return 1
+        raise ValueError(
+            f"HURWITZ_THREADS must be a nonnegative integer, got {raw!r}"
+        ) from None
     if n == 0:
         return os.cpu_count() or 1
-    return max(1, n)
+    return n
 
 
 def cmd_verify(args) -> int:
     if args.max_d < 1 or args.max_r < 1:
         return _fail("--max-d and --max-r must be >= 1")
+    try:
+        check_ribbon_r(args.max_r)
+        workers = worker_count()
+    except (HurwitzError, ValueError) as exc:
+        return _fail(str(exc))
     jobs = sweep_params(args.max_d, args.max_r)
-    workers = worker_count()
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

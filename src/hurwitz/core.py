@@ -29,6 +29,11 @@ class RZero(HurwitzError):
     """A graph-based method was asked for an r = 0 family it cannot represent."""
 
 
+class Infeasible(HurwitzError):
+    """A method was asked for parameters beyond the range it can compute in
+    practice; the message names the methods that can answer."""
+
+
 class DivisionByZero(HurwitzError):
     """Rational division by zero."""
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import HurwitzParams, NonIntegerGenus, Partition, RZero
+from .core import HurwitzParams, Infeasible, NonIntegerGenus, Partition, RZero
 
 
 def _orbits(succ, n: int) -> list:
@@ -362,20 +362,6 @@ def _aut_phase_maps(g: MNRRibbonGraph) -> list:
     return out
 
 
-def aut_edge_permutations(g: MNRRibbonGraph) -> list:
-    """Automorphisms as permutations of the edge index set."""
-    edges = g.edges()
-    index = {e: k for k, e in enumerate(edges)}
-    perms = []
-    for h in _aut_phase_maps(g):
-        images = []
-        for (x, y) in edges:
-            a, b = h[x], h[y]
-            images.append(index[(a, b) if a < b else (b, a)])
-        perms.append(tuple(images))
-    return perms
-
-
 def edge_length(w: int, i: int, j: int, r: int) -> Fraction:
     """Length of an edge of weight w from vertex i to vertex j, in units of
     2*pi: w + (j - i)/r.  Positivity of a weighting is equivalent to every
@@ -664,23 +650,54 @@ def _swap_tables(r: int) -> list:
     return tables
 
 
+# Largest r the ribbon method accepts.  Its tables hold every connected map on
+# 2r darts up to per-edge swaps: 97,968 records at r = 5, built in a few
+# seconds, but about 12!/2^6 = 7.5 M at r = 6, which takes minutes of work and
+# gigabytes of records.
+MAX_RIBBON_R = 5
+
+
+def check_ribbon_r(r: int) -> None:
+    """Raise Infeasible if the ribbon method cannot build the tables for r."""
+    if r > MAX_RIBBON_R:
+        raise Infeasible(
+            f"the ribbon method needs r <= {MAX_RIBBON_R}, got r = {r}; "
+            "the permutation and tropical methods can answer"
+        )
+
+
 @lru_cache(maxsize=None)
 def _base_map_classes(r: int) -> dict:
     """Isomorphism classes of connected maps with r labeled edges, bucketed by
     (#vertices, #faces).
 
     A map is a rotation sigma on darts 0..2r-1 with edge k = {2k, 2k+1}; two
-    rotations are isomorphic iff conjugate under the per-edge dart swaps.
+    rotations are isomorphic iff conjugate under the per-edge dart swaps t,
+    and each class is represented by its lexicographically smallest rotation.
     Each class record carries sigma, its swap stabilizer, the vertex cycles,
     the face orbits of the medial gray walk x -> sigma(x)^1, and the per-edge
     positivity lower bound.
+
+    The representatives come from orderly generation: a depth-first search
+    assigns sigma two darts at a time, the darts 2j and 2j+1 of edge j, trying
+    values in increasing order, so classes appear in lexicographic order of
+    sigma.  For x < 2j + 2 the conjugate value (t sigma t)[x] = t[sigma[t[x]]]
+    is already fixed, because t keeps every edge's darts together.  The search
+    carries the nontrivial tables whose conjugate still ties sigma on the
+    assigned prefix: one that compares smaller proves no completion minimal
+    and prunes the branch, one that compares larger is dropped, and one that
+    ties again is passed down.  At a leaf the tables still tied satisfy
+    t sigma t = sigma, so together with the identity they are exactly the
+    swap stabilizer.
     """
+    check_ribbon_r(r)
     n = 2 * r
-    all_tables = _swap_tables(r)
-    tables = all_tables[1:]
+    tables = _swap_tables(r)
     buckets = {}
-    rng = range(n)
-    for sigma in itertools.permutations(rng):
+    sigma = [0] * n
+    used = [False] * n
+
+    def add_if_connected(stab):
         # connectivity under <sigma, xor 1>
         comp = 1
         frontier = [0]
@@ -693,37 +710,56 @@ def _base_map_classes(r: int) -> dict:
                     cnt += 1
                     frontier.append(y)
         if cnt != n:
-            continue
-        # canonical under the swap group
-        is_canon = True
-        for t in tables:
-            for x in rng:
-                c = t[sigma[t[x]]]
-                s0 = sigma[x]
-                if c != s0:
-                    if c < s0:
-                        is_canon = False
-                    break
-            if not is_canon:
-                break
-        if not is_canon:
-            continue
-        cycles = _orbits(lambda x: sigma[x], n)
-        grays = _orbits(lambda x: sigma[x] ^ 1, n)
+            return
+        s = tuple(sigma)
+        cycles = _orbits(lambda x: s[x], n)
+        grays = _orbits(lambda x: s[x] ^ 1, n)
         key = (len(cycles), len(grays))
-        stab = [
-            t for t in all_tables if all(t[sigma[t[x]]] == sigma[x] for x in rng)
-        ]
-        lower = tuple(1 if x // 2 >= sigma[x] // 2 else 0 for x in rng)
+        lower = tuple(1 if x // 2 >= s[x] // 2 else 0 for x in range(n))
         buckets.setdefault(key, []).append(
             {
-                "sigma": sigma,
+                "sigma": s,
                 "stab": stab,
                 "whites": cycles,
                 "grays": grays,
                 "lower": lower,
             }
         )
+
+    def extend(j, tied):
+        if j == r:
+            add_if_connected([tables[0]] + tied)
+            return
+        a, b = 2 * j, 2 * j + 1
+        for u in range(n):
+            if used[u]:
+                continue
+            used[u] = True
+            sigma[a] = u
+            for v in range(n):
+                if used[v]:
+                    continue
+                sigma[b] = v
+                # a break means some conjugate is smaller: prune the branch
+                still = []
+                for t in tied:
+                    c = t[sigma[t[a]]]
+                    if c != u:
+                        if c < u:
+                            break
+                        continue
+                    c = t[sigma[t[b]]]
+                    if c == v:
+                        still.append(t)
+                    elif c < v:
+                        break
+                else:
+                    used[v] = True
+                    extend(j + 1, still)
+                    used[v] = False
+            used[u] = False
+
+    extend(0, tables[1:])
     return buckets
 
 

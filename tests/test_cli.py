@@ -51,6 +51,18 @@ def test_compute_r_zero_graph_method_exits_one():
     assert code == 1
 
 
+def test_ribbon_beyond_max_r_exits_one():
+    # r = 6: rejected before any table or permutation work
+    for argv in (
+        ["compute", "--genus", "2", "--mu", "4,2", "--nu", "3,3", "--method", "ribbon"],
+        ["compute", "--genus", "2", "--mu", "4,2", "--nu", "3,3", "--method", "all"],
+        ["verify", "--max-d", "2", "--max-r", "6"],
+    ):
+        code, out, err = run_cli(argv)
+        assert code == 1 and out == ""
+        assert "permutation" in err and "tropical" in err
+
+
 def test_compute_timings_flag():
     code, out, _ = run_cli(
         [
@@ -153,6 +165,11 @@ def test_verify_worker_env(monkeypatch):
     assert cli.worker_count() >= 1
     monkeypatch.delenv("HURWITZ_THREADS")
     assert cli.worker_count() == 1
+    for bad in ("abc", "-1"):
+        monkeypatch.setenv("HURWITZ_THREADS", bad)
+        code, out, err = run_cli(["verify", "--max-d", "2", "--max-r", "2"])
+        assert code == 1 and out == ""
+        assert "HURWITZ_THREADS" in err
 
 
 def test_chambers_command():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hurwitz.core import NonIntegerGenus, Partition, RZero, hurwitz_params
+from hurwitz.core import Infeasible, NonIntegerGenus, Partition, RZero, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
 
@@ -129,6 +129,94 @@ def test_enumeration_matches_brute_force_r3(m, n):
     brute = brute_force_skeletons(m, n, 3)
     med = {s.canonical_key(): a for s, a in R.enumerate_skeletons(m, n, 3)}
     assert med == brute
+
+
+# ---------------------------------------------------------------------------
+# reference for the base map table: scan all of S_2r, keep the rotations that
+# are connected and lexicographically minimal under the per-edge dart swaps
+
+
+def brute_force_base_map_classes(r):
+    n = 2 * r
+    all_tables = R._swap_tables(r)
+    tables = all_tables[1:]
+    buckets = {}
+    rng = range(n)
+    for sigma in itertools.permutations(rng):
+        # connectivity under <sigma, xor 1>
+        comp = 1
+        frontier = [0]
+        cnt = 1
+        while frontier:
+            x = frontier.pop()
+            for y in (sigma[x], x ^ 1):
+                if not (comp >> y) & 1:
+                    comp |= 1 << y
+                    cnt += 1
+                    frontier.append(y)
+        if cnt != n:
+            continue
+        # canonical under the swap group
+        is_canon = True
+        for t in tables:
+            for x in rng:
+                c = t[sigma[t[x]]]
+                s0 = sigma[x]
+                if c != s0:
+                    if c < s0:
+                        is_canon = False
+                    break
+            if not is_canon:
+                break
+        if not is_canon:
+            continue
+        cycles = R._orbits(lambda x: sigma[x], n)
+        grays = R._orbits(lambda x: sigma[x] ^ 1, n)
+        key = (len(cycles), len(grays))
+        stab = [
+            t for t in all_tables if all(t[sigma[t[x]]] == sigma[x] for x in rng)
+        ]
+        lower = tuple(1 if x // 2 >= sigma[x] // 2 else 0 for x in rng)
+        buckets.setdefault(key, []).append(
+            {
+                "sigma": sigma,
+                "stab": stab,
+                "whites": cycles,
+                "grays": grays,
+                "lower": lower,
+            }
+        )
+    return buckets
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_base_map_classes_match_scan(r):
+    table = R._base_map_classes(r)
+    brute = brute_force_base_map_classes(r)
+    # same records in the same order: bucket order and the lists inside
+    assert list(table.items()) == list(brute.items())
+
+
+def test_base_map_classes_r5_bucket_sizes():
+    sizes = {key: len(recs) for key, recs in R._base_map_classes(5).items()}
+    assert sizes == {
+        (1, 2): 5808, (2, 1): 5808,
+        (1, 4): 5040, (4, 1): 5040,
+        (1, 6): 504, (6, 1): 504,
+        (2, 3): 20640, (3, 2): 20640,
+        (2, 5): 4632, (5, 2): 4632,
+        (3, 4): 12360, (4, 3): 12360,
+    }
+    assert sum(sizes.values()) == 97968
+
+
+def test_ribbon_rejects_r_beyond_limit():
+    params = hurwitz_params(2, (4, 2), (3, 3))
+    assert params.r == R.MAX_RIBBON_R + 1
+    with pytest.raises(Infeasible, match="permutation and tropical"):
+        R.count_hurwitz_ribbon(params)
+    with pytest.raises(Infeasible):
+        R.enumerate_skeletons(2, 2, params.r)
 
 
 # ---------------------------------------------------------------------------
