@@ -343,14 +343,26 @@ def _rank(rows) -> int:
     return rank
 
 
-def fit_all_chambers(g: int, m: int, n: int, dmax: int = 10) -> list:
-    """Fit every chamber that contains at least one sample point."""
+class ChamberFits(list):
+    """The fitted chamber polynomials, in sign order.  ``skipped`` holds
+    (signs, reason) for every sampled chamber with too few points to fit."""
+
+    def __init__(self, fitted, skipped):
+        super().__init__(fitted)
+        self.skipped = tuple(skipped)
+
+
+def fit_all_chambers(g: int, m: int, n: int, dmax: int = 10) -> ChamberFits:
+    """Fit every chamber that contains at least one sample point; chambers
+    whose samples up to dmax cannot determine the polynomial are reported in
+    the result's ``skipped``."""
     wall_list = walls(m, n)
     chambers = _sample_points(g, m, n, wall_list, dmax)
-    out = []
+    fitted = []
+    skipped = []
     for signs in sorted(chambers):
         try:
-            out.append(fit_chamber_polynomial(g, m, n, signs, dmax=dmax))
-        except InsufficientSamples:
-            continue
-    return out
+            fitted.append(fit_chamber_polynomial(g, m, n, signs, dmax=dmax))
+        except InsufficientSamples as exc:
+            skipped.append((signs, str(exc)))
+    return ChamberFits(fitted, skipped)

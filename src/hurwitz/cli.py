@@ -241,18 +241,27 @@ def cmd_chambers(args) -> int:
         fits = fit_all_chambers(args.genus, args.m, args.n, dmax=args.dmax)
     except HurwitzError as exc:
         return _fail(str(exc))
-    _emit(
-        {
-            "g": args.genus,
-            "m": args.m,
-            "n": args.n,
-            "degree_bound": 4 * args.genus - 3 + args.m + args.n,
-            "walls": [w.describe() for w in walls(args.m, args.n)],
-            "chambers": [
-                dict(cp.describe(), degree_ok=degree_check(cp)) for cp in fits
-            ],
-        }
-    )
+    if not fits and not fits.skipped:
+        return _fail(f"no chamber has a sample point up to --dmax {args.dmax}")
+    report = {
+        "g": args.genus,
+        "m": args.m,
+        "n": args.n,
+        "degree_bound": 4 * args.genus - 3 + args.m + args.n,
+        "walls": [w.describe() for w in walls(args.m, args.n)],
+        "chambers": [dict(cp.describe(), degree_ok=degree_check(cp)) for cp in fits],
+    }
+    if fits.skipped:
+        report["skipped"] = [
+            {"signs": list(signs), "reason": reason} for signs, reason in fits.skipped
+        ]
+    _emit(report)
+    if fits.skipped:
+        return _fail(
+            f"{len(fits.skipped)} of {len(fits) + len(fits.skipped)} sampled "
+            f"chambers have too few points up to --dmax {args.dmax}; "
+            "a larger --dmax samples more"
+        )
     return 0
 
 

@@ -458,24 +458,84 @@ def _centralizer_order(part: Partition) -> int:
     return z
 
 
+def _orbit_state(orbits) -> tuple:
+    """Canonical form of a list of orbits, each a list of cycle lengths."""
+    return tuple(sorted(tuple(sorted(o, reverse=True)) for o in orbits))
+
+
+def _orbit_state_moves(state: tuple):
+    """Yield (next state, weight) for every cut-join move of one
+    transposition; the weights add up to C(d, 2)."""
+    for oi, orbit in enumerate(state):
+        rest = state[:oi] + state[oi + 1 :]
+        for ci, length in enumerate(orbit):
+            others = orbit[:ci] + orbit[ci + 1 :]
+            for k in range(1, length // 2 + 1):
+                yield (
+                    _orbit_state(rest + (others + (k, length - k),)),
+                    cut_join_count(k, length - k, "cut"),
+                )
+            for cj in range(ci + 1, len(orbit)):
+                b = orbit[cj]
+                joined = others[: cj - 1] + others[cj:] + (length + b,)
+                yield _orbit_state(rest + (joined,)), length * b
+        for oj in range(oi + 1, len(state)):
+            other = state[oj]
+            kept = rest[: oj - 1] + rest[oj:]
+            for ci, a in enumerate(orbit):
+                for cj, b in enumerate(other):
+                    merged = (
+                        orbit[:ci] + orbit[ci + 1 :] + other[:cj] + other[cj + 1 :]
+                    )
+                    yield _orbit_state(kept + (merged + (a + b,),)), a * b
+
+
+def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
+    """Number of (tau_1..tau_r) completing one fixed sigma_0 of type mu to a
+    transitive chain ending in type nu.
+
+    Forward recursion over orbit states: the orbits of <sigma_0, tau_1..tau_k>,
+    each recorded as the multiset of lengths of the sigma_k cycles inside it.
+    The number of ways to finish a chain depends only on the S_d-class of
+    (sigma_k, orbit partition), which the state determines, so summing chain
+    counts per state is exact.  A cut splits a cycle inside its orbit, a join
+    inside one orbit keeps the orbits, a join across two orbits merges them.
+    """
+    n = len(nu)
+
+    def feasible(state: tuple, steps: int) -> bool:
+        gap = abs(sum(map(len, state)) - n)
+        return (
+            len(state) - 1 <= steps and gap <= steps and (gap - steps) % 2 == 0
+        )
+
+    states = {_orbit_state([part] for part in mu): 1}
+    for step in range(r):
+        nxt = {}
+        for state, ways in states.items():
+            for after, weight in _orbit_state_moves(state):
+                nxt[after] = nxt.get(after, 0) + ways * weight
+        states = {s: w for s, w in nxt.items() if feasible(s, r - step - 1)}
+    return states.get(_orbit_state([nu]), 0)
+
+
 def count_monodromy_sets(params: HurwitzParams) -> int:
     """Exact number of labeled monodromy sets.
 
     Tuples with different sigma_0 of the same type are in bijection by
-    conjugation, so only one representative sigma_0 is searched and the result
-    is scaled by the class size and by the labeling multiplicities.  Agreement
-    with the plain enumeration is part of the test suite.
+    conjugation, so the chains from one representative sigma_0 are counted
+    (by the orbit-state recursion of _count_chains) and the result is scaled
+    by the class size and by the labeling multiplicities.  Agreement with the
+    plain enumeration is part of the test suite.
     """
-    d, r = params.d, params.r
     mu, nu = params.mu, params.nu
-    if r == 0:
-        if mu.sorted_desc() != (d,) or nu.sorted_desc() != (d,):
-            return 0  # sigma_inf = sigma_0^-1 forces nu = mu, transitivity forces a d-cycle
-        return factorial(d - 1)
-    rep = canonical_perm_of_type(mu)
-    comps = _completions(rep, params)
-    class_size = factorial(d) // _centralizer_order(mu)
-    return len(comps) * class_size * _label_multiplicity(mu) * _label_multiplicity(nu)
+    class_size = factorial(params.d) // _centralizer_order(mu)
+    return (
+        _count_chains(mu, nu, params.r)
+        * class_size
+        * _label_multiplicity(mu)
+        * _label_multiplicity(nu)
+    )
 
 
 def count_hurwitz_permutation(params: HurwitzParams) -> Fraction:

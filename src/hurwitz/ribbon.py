@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import HurwitzParams, Infeasible, NonIntegerGenus, Partition, RZero
 
@@ -155,7 +155,7 @@ class MNRRibbonGraph:
             range(1, r + 1)
         ):
             raise ValueError("vertex labels must be a bijection onto 1..r")
-        fs = m.faces()
+        fs = self.face_orbits
         if len(fs) != len(self.face_color) or len(fs) != len(self.face_label):
             raise ValueError("face annotations must align with faces()")
         whites = [
@@ -173,17 +173,27 @@ class MNRRibbonGraph:
         if sorted(grays) != list(range(1, len(grays) + 1)):
             raise ValueError("gray labels must be a bijection onto 1..n")
         # bicolored: the two sides of every edge carry different colors
-        face_of = self._face_index_by_dart()
+        face_of = self.face_of_dart
         for x, y in m.edges():
             if self.face_color[face_of[x]] == self.face_color[face_of[y]]:
                 raise ValueError("map is not bicolored")
 
-    def _face_index_by_dart(self) -> dict:
-        out = {}
-        for i, f in enumerate(self.map.faces()):
+    # The map is immutable, so its faces are walked once per graph.  The
+    # cached values live outside the dataclass fields, so equality and hashing
+    # are unchanged.
+    @cached_property
+    def face_orbits(self) -> tuple:
+        """map.faces(), computed once."""
+        return tuple(self.map.faces())
+
+    @cached_property
+    def face_of_dart(self) -> tuple:
+        """face_of_dart[x] is the index in face_orbits of the face through x."""
+        out = [0] * self.map.num_darts
+        for i, f in enumerate(self.face_orbits):
             for x in f:
                 out[x] = i
-        return out
+        return tuple(out)
 
     @property
     def r(self) -> int:
@@ -206,7 +216,7 @@ class MNRRibbonGraph:
     def natural_dart(self, edge) -> int:
         """The dart of the edge whose face (right side) is gray; traveling it
         keeps white on the left."""
-        face_of = self._face_index_by_dart()
+        face_of = self.face_of_dart
         x, y = edge
         if self.face_color[face_of[x]] == "gray":
             return x
@@ -220,27 +230,22 @@ class MNRRibbonGraph:
 
     def white_faces(self) -> list:
         """(label, dart orbit) for each white face, by label."""
-        fs = self.map.faces()
-        out = [
-            (self.face_label[i], fs[i])
-            for i in range(len(fs))
-            if self.face_color[i] == "white"
-        ]
-        return sorted(out)
+        return self._faces_of_color("white")
 
     def gray_faces(self) -> list:
-        fs = self.map.faces()
-        out = [
-            (self.face_label[i], fs[i])
-            for i in range(len(fs))
-            if self.face_color[i] == "gray"
-        ]
-        return sorted(out)
+        return self._faces_of_color("gray")
+
+    def _faces_of_color(self, color: str) -> list:
+        return sorted(
+            (lab, f)
+            for f, col, lab in zip(self.face_orbits, self.face_color, self.face_label)
+            if col == color
+        )
 
     def serialize(self, weights=None) -> dict:
         """JSON-ready description; darts are 1-based in the output."""
         n = self.map.num_darts
-        face_of = self._face_index_by_dart()
+        face_of = self.face_of_dart
         doc = {
             "darts": n,
             "rotation": [self.rotation_image(x) + 1 for x in range(n)],
@@ -282,7 +287,7 @@ def _canonical_key(g: MNRRibbonGraph, weights=None):
     r = n // 4
     # base relabeling: anchor each vertex at its minimum dart
     verts = sorted(g.map.vertices(), key=lambda v: g.vertex_label[v[0]])
-    face_of = g._face_index_by_dart()
+    face_of = g.face_of_dart
     edge_index = {e: k for k, e in enumerate(g.edges())}
 
     best = None
@@ -338,7 +343,7 @@ def _aut_phase_maps(g: MNRRibbonGraph) -> list:
     rot = g.map.rotation
     inv = g.map.edge_involution
     verts = sorted(g.map.vertices(), key=lambda v: g.vertex_label[v[0]])
-    face_of = g._face_index_by_dart()
+    face_of = g.face_of_dart
     out = []
     for phases in itertools.product(range(4), repeat=r):
         h = [0] * n

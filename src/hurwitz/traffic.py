@@ -156,7 +156,7 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     tables = _walk_tables(g)
     edge_of_nat = tables[3]
     invol = g.map.edge_involution
-    face_of = g._face_index_by_dart()
+    face_of = g.face_of_dart
 
     perms = []
     circle_sets = []

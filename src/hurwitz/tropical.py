@@ -450,7 +450,7 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
     tables = _walk_tables(skeleton)
     edge_of_nat = tables[3]
     invol = skeleton.map.edge_involution
-    face_of = skeleton._face_index_by_dart()
+    face_of = skeleton.face_of_dart
     r = skeleton.r
     m, n = skeleton.num_white, skeleton.num_gray
     num_edges = len(skeleton.edges())

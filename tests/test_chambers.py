@@ -46,7 +46,7 @@ def test_chamber_of_signs():
 
 def test_fit_g0_two_two_all_chambers():
     fits = C.fit_all_chambers(0, 2, 2, dmax=8)
-    assert len(fits) == 4
+    assert len(fits) == 4 and fits.skipped == ()
     for cp in fits:
         assert cp.holdout_passed
         assert cp.degree() <= 1
@@ -75,7 +75,9 @@ def test_adjacent_chambers_differ():
 
 
 def test_fit_g1_one_one():
-    (cp,) = C.fit_all_chambers(1, 1, 1, dmax=8)
+    fits = C.fit_all_chambers(1, 1, 1, dmax=8)
+    assert fits.skipped == ()
+    (cp,) = fits
     assert cp.holdout_passed
     assert cp.degree() <= 3
     # the closed form d(d-1)(d+1)/12 on this family
@@ -123,3 +125,12 @@ def test_wall_detection_on_the_d8_line():
         }
         expected = {nu1, 8 - nu1} & set(range(2, 7))
         assert observed == expected, (nu, values)
+
+
+def test_thin_chambers_are_reported_not_dropped():
+    # (g=1, m=n=2): 56 coefficients, but every chamber has 50 points up to d = 10
+    fits = C.fit_all_chambers(1, 2, 2, dmax=10)
+    assert list(fits) == []
+    assert [signs for signs, _ in fits.skipped] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+    for _, reason in fits.skipped:
+        assert "50 points for 56 coefficients" in reason

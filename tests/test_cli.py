@@ -179,7 +179,7 @@ def test_chambers_command():
     assert code == 0
     doc = json.loads(out)
     assert doc["walls"] == ["mu1=nu1", "mu1=nu2"]
-    assert len(doc["chambers"]) == 4
+    assert len(doc["chambers"]) == 4 and "skipped" not in doc
     for ch in doc["chambers"]:
         assert ch["holdout_passed"] and ch["degree"] <= 1 and ch["degree_ok"]
 
@@ -197,6 +197,26 @@ def test_chambers_genus_one():
     doc = json.loads(out)
     assert len(doc["chambers"]) == 1
     assert doc["chambers"][0]["degree"] <= 3
+
+
+def test_chambers_skipped_exits_one():
+    code, out, err = run_cli(
+        ["chambers", "--genus", "1", "--m", "2", "--n", "2", "--dmax", "10"]
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["chambers"] == []
+    assert [s["signs"] for s in doc["skipped"]] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+    assert all("50 points for 56 coefficients" in s["reason"] for s in doc["skipped"])
+    assert "--dmax" in err
+
+
+def test_chambers_without_samples_exits_one():
+    code, out, err = run_cli(
+        ["chambers", "--genus", "0", "--m", "2", "--n", "2", "--dmax", "2"]
+    )
+    assert code == 1 and out == ""
+    assert "--dmax 2" in err
 
 
 def test_roundtrip_command():

@@ -1,8 +1,12 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import all_params, descending_partitions
 from hurwitz.core import Partition, hurwitz_params
 from hurwitz import permutation as P
 
@@ -129,6 +133,8 @@ def test_enumeration_counts(g, mu, nu, count):
         (0, (1, 1), (2,), Fraction(1)),
         (1, (2,), (2,), Fraction(1, 2)),
         (0, (2, 1), (2, 1), Fraction(4)),
+        (2, (4, 2), (3, 3), Fraction(331128)),
+        (2, (5, 3), (4, 4), Fraction(4569600)),
     ],
 )
 def test_count_examples(g, mu, nu, value):
@@ -139,6 +145,78 @@ def test_fast_count_equals_stream(small_params):
     for params in small_params:
         stream = sum(1 for _ in P.enumerate_monodromy_sets(params))
         assert stream == P.count_monodromy_sets(params), params
+
+
+def test_chain_count_equals_dfs_completions():
+    """The orbit-state recursion against the transposition-by-transposition
+    DFS that enumeration uses, one sigma_0 per set."""
+    for params in all_params(5, 4):
+        rep = P.canonical_perm_of_type(params.mu)
+        assert P._count_chains(params.mu, params.nu, params.r) == len(
+            P._completions(rep, params)
+        ), params
+
+
+def _gjv_one_part(g, nu):
+    """Goulden-Jackson-Vakil: H_g((d), nu) = r! d^(r-1) [t^2g] prod S(nu_i t) / S(t)
+    with S(t) = sinh(t/2) / (t/2), in exact series in t^2 up to t^2g."""
+
+    def s_series(a):
+        return [Fraction(a ** (2 * k), 4**k * factorial(2 * k + 1)) for k in range(g + 1)]
+
+    def times(x, y):
+        return [sum(x[i] * y[k - i] for i in range(k + 1)) for k in range(g + 1)]
+
+    s = s_series(1)
+    series = [Fraction(1)]  # 1 / S(t)
+    for k in range(1, g + 1):
+        series.append(-sum(s[j] * series[k - j] for j in range(1, k + 1)))
+    for part in nu:
+        series = times(series, s_series(part))
+    d, r = sum(nu), 2 * g - 1 + len(nu)
+    return factorial(r) * Fraction(d) ** (r - 1) * series[g]
+
+
+def test_gjv_one_part_formula():
+    checked = 0
+    for d in range(1, 13):
+        for nu in descending_partitions(d):
+            for g in range(6):
+                if 2 * g - 1 + len(nu) < 1:
+                    continue  # r = 0 is test_r_zero_family
+                params = hurwitz_params(g, (d,), nu)
+                assert P.count_hurwitz_permutation(params) == _gjv_one_part(g, nu), params
+                checked += 1
+    assert checked == 1614
+
+
+@st.composite
+def small_hurwitz_data(draw):
+    """(g, mu, nu) with d <= 7 and r <= 7 when g > 0, parts in arbitrary order."""
+    d = draw(st.integers(1, 7))
+    mu = draw(st.permutations(draw(st.sampled_from(descending_partitions(d)))))
+    nu = draw(st.permutations(draw(st.sampled_from(descending_partitions(d)))))
+    g = draw(st.integers(0, max(0, (9 - len(mu) - len(nu)) // 2)))
+    return g, tuple(mu), tuple(nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hurwitz_data())
+def test_count_symmetric_in_mu_and_nu(data):
+    g, mu, nu = data
+    assert P.count_hurwitz_permutation(
+        hurwitz_params(g, mu, nu)
+    ) == P.count_hurwitz_permutation(hurwitz_params(g, nu, mu))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_hurwitz_data())
+def test_count_invariant_under_random_reordering(data):
+    g, mu, nu = data
+    ordered = hurwitz_params(g, sorted(mu, reverse=True), sorted(nu, reverse=True))
+    assert P.count_hurwitz_permutation(
+        hurwitz_params(g, mu, nu)
+    ) == P.count_hurwitz_permutation(ordered)
 
 
 def test_count_invariant_under_part_reordering():

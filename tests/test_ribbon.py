@@ -429,7 +429,7 @@ def test_class_weights_reproduce_count():
 
 def test_bicoloring_invariant():
     for skel, _ in R.enumerate_skeletons(2, 2, 2)[:8]:
-        face_of = skel._face_index_by_dart()
+        face_of = skel.face_of_dart
         for x, y in skel.edges():
             assert skel.face_color[face_of[x]] != skel.face_color[face_of[y]]
 
