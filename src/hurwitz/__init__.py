@@ -12,11 +12,9 @@ from .core import (
     HurwitzParams,
     NegativeR,
     Partition,
-    Rational,
     RZero,
     format_rational,
     hurwitz_params,
-    rational_arith,
 )
 
 __all__ = [
@@ -25,11 +23,9 @@ __all__ = [
     "HurwitzParams",
     "NegativeR",
     "Partition",
-    "Rational",
     "RZero",
     "format_rational",
     "hurwitz_params",
-    "rational_arith",
 ]
 
 __version__ = "0.1.0"

@@ -34,10 +34,6 @@ class Infeasible(HurwitzError):
     practice; the message names the methods that can answer."""
 
 
-class DivisionByZero(HurwitzError):
-    """Rational division by zero."""
-
-
 class NonIntegerGenus(HurwitzError):
     """V - E + F is odd, so the object is not a map on a closed surface."""
 
@@ -128,37 +124,12 @@ class Partition:
             raise ValueError(f"cannot parse partition from {text!r}") from exc
 
 
-# Exact rational arithmetic is delegated to the standard library; Fraction
-# already keeps values in lowest terms with a positive denominator, which is
-# exactly the invariant we need.
-Rational = Fraction
-
-
-def rational_arith(a: Fraction, b: Fraction, op: str) -> Fraction:
-    """Apply one of '+', '-', '*', '/' to two exact rationals."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        if b == 0:
-            raise DivisionByZero("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def format_rational(q: Fraction) -> str:
     """Serialize as "p/q", or just "p" when the denominator is 1."""
     q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 @dataclass(frozen=True)

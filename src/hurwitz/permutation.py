@@ -22,6 +22,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .core import HurwitzParams, Partition
@@ -43,11 +44,6 @@ def inverse(p: Perm) -> Perm:
     for x, y in enumerate(p):
         inv[y] = x
     return tuple(inv)
-
-
-def conjugate(p: Perm, g: Perm) -> Perm:
-    """g^-1 . p . g."""
-    return compose(inverse(g), compose(p, g))
 
 
 def transposition(d: int, i: int, j: int) -> Perm:
@@ -547,176 +543,94 @@ def count_hurwitz_permutation(params: HurwitzParams) -> Fraction:
 # isomorphism
 
 
-def _conjugation_candidates(a: MonodromySet, b: MonodromySet):
-    """Permutations g that could satisfy g^-1 . a . g = b entrywise.
-
-    Conjugation by g sends the cycle (c_0 c_1 ...) to (g^-1(c_0) g^-1(c_1) ...),
-    so g must map b.sigma0's cycle labeled i onto a.sigma0's, preserving cyclic
-    order; one rotation choice per labeled cycle.
-    """
-    d = a.params.d
-    a_cycles = a.sigma0.cycles_by_label
-    b_cycles = b.sigma0.cycles_by_label
-    if tuple(len(c) for c in a_cycles) != tuple(len(c) for c in b_cycles):
-        return
-    for shifts in itertools.product(*(range(len(c)) for c in a_cycles)):
-        g = [None] * d
-        for ca, cb, s in zip(a_cycles, b_cycles, shifts):
-            k = len(ca)
-            for t in range(k):
-                g[cb[t]] = ca[(t + s) % k]
-        yield tuple(g)
-
-
-def are_isomorphic(a: MonodromySet, b: MonodromySet) -> bool:
-    """True iff some g in S_d conjugates every entry of a onto the
-    corresponding entry of b, preserving cycle labels on both ends."""
-    if a.params != b.params:
-        raise ValueError("isomorphism is only defined at equal parameters")
-    for g in _conjugation_candidates(a, b):
-        if conjugate(a.sigma0.perm, g) != b.sigma0.perm:
-            continue
-        if any(
-            conjugate(ta, g) != tb for ta, tb in zip(a.taus, b.taus)
-        ):
-            continue
-        if conjugate(a.sigma_inf.perm, g) != b.sigma_inf.perm:
-            continue
-        ginv = inverse(g)
-        if all(
-            tuple(sorted(ginv[x] for x in ca)) == tuple(sorted(cb))
-            for ca, cb in zip(
-                a.sigma_inf.cycles_by_label, b.sigma_inf.cycles_by_label
-            )
-        ):
-            return True
-    return False
-
-
-def automorphism_order(ms: MonodromySet) -> int:
-    """Order of the group of label-preserving self-conjugations."""
-    count = 0
-    for g in _conjugation_candidates(ms, ms):
-        if conjugate(ms.sigma0.perm, g) != ms.sigma0.perm:
-            continue
-        if any(conjugate(t, g) != t for t in ms.taus):
-            continue
-        if conjugate(ms.sigma_inf.perm, g) != ms.sigma_inf.perm:
-            continue
-        ginv = inverse(g)
-        if all(
-            tuple(sorted(ginv[x] for x in c)) == tuple(sorted(c))
-            for c in ms.sigma_inf.cycles_by_label
-        ):
-            count += 1
-    return count
-
-
-def _block_rotation_group(mu: Partition):
+@lru_cache(maxsize=None)
+def _block_rotation_group(mu: Partition) -> tuple:
     """The label-preserving centralizer of canonical_perm_of_type(mu):
-    independent rotations inside each consecutive block."""
+    independent rotations inside each consecutive block, identity first."""
     blocks = []
     start = 0
     for part in mu:
-        blocks.append(list(range(start, start + part)))
+        blocks.append(range(start, start + part))
         start += part
-    d = mu.size
-    elements = []
-    for shifts in itertools.product(*(range(len(b)) for b in blocks)):
-        g = [None] * d
-        for block, s in zip(blocks, shifts):
-            k = len(block)
-            for t in range(k):
-                # block cycle is (b0 b1 ... b_{k-1}); rotate by the cycle's own power
-                g[block[t]] = block[(t + s) % k]
-        elements.append(tuple(g))
-    return elements
+    return tuple(
+        tuple(b[(t + s) % len(b)] for b, s in zip(blocks, shifts) for t in range(len(b)))
+        for shifts in itertools.product(*(range(len(b)) for b in blocks))
+    )
+
+
+def _aligned(ms: MonodromySet):
+    """ms relabeled so that sigma_0 is canonical_perm_of_type(mu) with the
+    identity labeling: (transposition pairs, sorted sigma_inf label sets).
+
+    Once sigma_0 is fixed, these determine the set, since sigma_inf is the
+    inverse of tau_r ... tau_1 sigma_0.
+    """
+    mu = ms.params.mu
+    if ms.sigma0.label_lengths() != mu.parts:
+        raise ValueError("sigma0 labels do not realize mu")
+    g = [0] * ms.params.d
+    start = 0
+    for cyc in ms.sigma0.cycles_by_label:
+        for t, x in enumerate(cyc):
+            g[x] = start + t
+        start += len(cyc)
+    pairs = tuple(
+        tuple(sorted(g[x] for x, y in enumerate(t) if x != y)) for t in ms.taus
+    )
+    labels = tuple(
+        tuple(sorted(g[x] for x in c)) for c in ms.sigma_inf.cycles_by_label
+    )
+    return pairs, labels
+
+
+def _rotation_orbit(mu: Partition, aligned) -> list:
+    """Images of an aligned set under every block rotation, its own first.
+
+    The block rotations are exactly the label-preserving centralizer of the
+    canonical sigma_0, so two aligned sets are isomorphic iff their orbits
+    meet, and the set's stabilizer order is how often it recurs here.
+    """
+    pairs, labels = aligned
+    return [
+        (
+            tuple((z[i], z[j]) if z[i] < z[j] else (z[j], z[i]) for i, j in pairs),
+            tuple(tuple(sorted(z[x] for x in c)) for c in labels),
+        )
+        for z in _block_rotation_group(mu)
+    ]
 
 
 def monodromy_class_key(ms: MonodromySet):
-    """A value equal for two monodromy sets iff they are isomorphic.
-
-    Conjugate so sigma_0 becomes the canonical representative with identity
-    labels, then minimize over the residual label-preserving centralizer
-    (independent rotations of the canonical cycles).
-    """
-    params = ms.params
-    rep = canonical_perm_of_type(params.mu)
-    blocks = cycles(rep)
-    g = [None] * params.d
-    for block, cyc in zip(blocks, ms.sigma0.cycles_by_label):
-        for t in range(len(block)):
-            g[block[t]] = cyc[t]
-    g = tuple(g)
-    if conjugate(ms.sigma0.perm, g) != rep:
-        raise ValueError("sigma0 alignment failed")
-    taus = tuple(conjugate(t, g) for t in ms.taus)
-    sinf = conjugate(ms.sigma_inf.perm, g)
-    gi = inverse(g)
-    labels = tuple(
-        tuple(sorted(gi[x] for x in c)) for c in ms.sigma_inf.cycles_by_label
-    )
-    best = None
-    for z in _block_rotation_group(params.mu):
-        zi = inverse(z)
-        cand = (
-            tuple(conjugate(t, z) for t in taus),
-            conjugate(sinf, z),
-            tuple(tuple(sorted(zi[x] for x in c)) for c in labels),
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
+    """A value equal for two monodromy sets iff they are isomorphic: the
+    minimum of the rotation orbit of the aligned set."""
+    return min(_rotation_orbit(ms.params.mu, _aligned(ms)))
 
 
 def monodromy_classes(params: HurwitzParams):
-    """Isomorphism classes of monodromy sets as (representative, aut_order).
+    """Isomorphism classes of monodromy sets as (representative, aut_order),
+    in order of first appearance.
 
     Every class has a member whose sigma_0 is the canonical representative
-    with the identity labeling; the residual symmetry is the labeled
-    centralizer (block rotations), so classes are its orbits on completions
-    crossed with sigma_inf labelings.
+    with the identity labeling, so classes are the rotation orbits of those
+    members; each new class adds its whole orbit to the seen set.
     """
-    d, r = params.d, params.r
     mu, nu = params.mu, params.nu
     rep = canonical_perm_of_type(mu)
     lab0 = LabeledPermutation(rep, tuple(cycles(rep)))
-    items = []
-    if r == 0:
-        if count_monodromy_sets(params):  # only mu = nu = (d) survives
-            q = inverse(rep)
-            for labinf in admissible_labelings(q, nu):
-                ms = MonodromySet(lab0, (), labinf, params)
-                items.append((rep, (), q, labinf.cycles_by_label, ms))
+    if params.r == 0:
+        # only mu = nu = (d) survives
+        chains = [((), rep)] if count_monodromy_sets(params) else []
     else:
-        for taus, sigma_r in _completions(rep, params):
-            q = inverse(sigma_r)
-            for labinf in admissible_labelings(q, nu):
-                ms = MonodromySet(lab0, taus, labinf, params)
-                items.append((rep, taus, q, labinf.cycles_by_label, ms))
-
-    group = _block_rotation_group(mu)
-
-    def encode(s0, taus, sinf, labels):
-        return (s0, taus, sinf, tuple(tuple(sorted(c)) for c in labels))
-
-    def act(g, item):
-        s0, taus, sinf, labels, ms = item
-        gi = inverse(g)
-        return encode(
-            conjugate(s0, g),
-            tuple(conjugate(t, g) for t in taus),
-            conjugate(sinf, g),
-            tuple(tuple(gi[x] for x in c) for c in labels),
-        )
-
-    seen = {}
+        chains = _completions(rep, params)
+    seen = set()
     classes = []
-    for item in items:
-        canon = min(act(g, item) for g in group)
-        if canon in seen:
-            continue
-        stab = sum(1 for g in group if act(g, item) == encode(*item[:4]))
-        seen[canon] = True
-        classes.append((item[4], stab))
+    for taus, sigma_r in chains:
+        for labinf in admissible_labelings(inverse(sigma_r), nu):
+            ms = MonodromySet(lab0, taus, labinf, params)
+            aligned = _aligned(ms)
+            if aligned in seen:
+                continue
+            orbit = _rotation_orbit(mu, aligned)
+            seen.update(orbit)
+            classes.append((ms, orbit.count(aligned)))
     return classes

@@ -115,14 +115,6 @@ class CombinatorialMap:
         return g
 
 
-def faces(m: CombinatorialMap) -> list:
-    return m.faces()
-
-
-def genus(m: CombinatorialMap) -> int:
-    return m.genus()
-
-
 # ---------------------------------------------------------------------------
 # labeled 4-valent bicolored maps
 
@@ -276,95 +268,64 @@ class MNRRibbonGraph:
         return "\n".join(lines)
 
     def canonical_key(self, weights=None):
-        """Canonical encoding: minimum over dart relabelings that send vertex
-        label v to the dart block 4(v-1)..4(v-1)+3 (one phase choice per
-        vertex).  Two labeled skeletons are isomorphic iff keys agree."""
+        """Canonical encoding: two labeled skeletons (with weights, if given)
+        are isomorphic iff their keys agree."""
         return _canonical_key(self, weights)
 
 
 def _canonical_key(g: MNRRibbonGraph, weights=None):
-    n = g.map.num_darts
-    r = n // 4
-    # base relabeling: anchor each vertex at its minimum dart
-    verts = sorted(g.map.vertices(), key=lambda v: g.vertex_label[v[0]])
+    """Minimum over the 4 darts at vertex 1 of the map encoded from that root.
+
+    An isomorphism fixes vertex labels, so it sends the darts of vertex v to
+    the block 4(v-1)..4(v-1)+3 in rotation order; only the phase of each block
+    is free.  Rooting fixes the phase at vertex 1, and a breadth-first walk
+    fixes every other vertex's phase by the dart through which it is first
+    reached; the map is connected, so the root fixes the whole relabeling.
+    Isomorphic maps give the same 4 encodings, so the minimum is canonical.
+    """
+    rot, inv = g.map.rotation, g.map.edge_involution
+    n = len(rot)
+    vl = g.vertex_label
     face_of = g.face_of_dart
-    edge_index = {e: k for k, e in enumerate(g.edges())}
+    col = [g.face_color[f] for f in face_of]
+    lab = [g.face_label[f] for f in face_of]
+    if weights is not None:
+        w = [0] * n
+        for (x, y), wt in zip(g.edges(), weights):
+            w[x] = w[y] = wt
+
+    def place(x):
+        # x takes the first position of its vertex's block
+        for pos in range(4 * vl[x] - 4, 4 * vl[x]):
+            relab[x] = pos
+            x = rot[x]
 
     best = None
-    for phases in itertools.product(range(4), repeat=r):
-        relab = [0] * n
-        for v_idx, orbit in enumerate(verts):
-            anchor = orbit[0]
+    for root in (x for x in range(n) if vl[x] == 1):
+        relab = [None] * n
+        place(root)
+        anchors = [root]
+        for anchor in anchors:  # grows while it is walked
             x = anchor
-            seq = []
             for _ in range(4):
-                seq.append(x)
-                x = g.map.rotation[x]
-            for pos, dart in enumerate(seq):
-                relab[dart] = 4 * v_idx + (pos + phases[v_idx]) % 4
-        inv = [0] * n
-        col = [None] * n
-        lab = [0] * n
-        for x in range(n):
-            inv[relab[x]] = relab[g.map.edge_involution[x]]
-            col[relab[x]] = g.face_color[face_of[x]]
-            lab[relab[x]] = g.face_label[face_of[x]]
-        key = (tuple(inv), tuple(col), tuple(lab))
+                y = inv[x]
+                if relab[y] is None:
+                    place(y)
+                    anchors.append(y)
+                x = rot[x]
+        order = [0] * n
+        for x, pos in enumerate(relab):
+            order[pos] = x
+        key = (
+            tuple(relab[inv[x]] for x in order),
+            tuple(col[x] for x in order),
+            tuple(lab[x] for x in order),
+        )
         if weights is not None:
-            w = {}
-            for e, k in edge_index.items():
-                a, b = relab[e[0]], relab[e[1]]
-                w[(a, b) if a < b else (b, a)] = weights[k]
-            key = key + (tuple(w[e] for e in sorted(w)),)
+            key += (tuple(w[x] for x in order),)
         if best is None or key < best:
             best = key
     return best
-
-
-def natural_orientation(g: MNRRibbonGraph, edge):
-    """(tail, head) vertex labels of the edge, traveled gray-right."""
-    return g.natural_orientation(edge)
-
-
-def aut_order(g: MNRRibbonGraph) -> int:
-    """Order of the group of dart permutations commuting with the rotation and
-    involution and fixing vertex labels, face colors and face labels.
-
-    Fixing vertex labels pins each vertex, so such a permutation is a rotation
-    power at every vertex; all 4^r phase vectors are checked.
-    """
-    return len(_aut_phase_maps(g))
-
-
-def _aut_phase_maps(g: MNRRibbonGraph) -> list:
-    """All automorphisms, each returned as a dart permutation."""
-    n = g.map.num_darts
-    r = n // 4
-    rot = g.map.rotation
-    inv = g.map.edge_involution
-    verts = sorted(g.map.vertices(), key=lambda v: g.vertex_label[v[0]])
-    face_of = g.face_of_dart
-    out = []
-    for phases in itertools.product(range(4), repeat=r):
-        h = [0] * n
-        for orbit, p in zip(verts, phases):
-            x = orbit[0]
-            seq = []
-            for _ in range(4):
-                seq.append(x)
-                x = rot[x]
-            for pos, dart in enumerate(seq):
-                h[dart] = seq[(pos + p) % 4]
-        ok = all(h[inv[x]] == inv[h[x]] for x in range(n))
-        if ok:
-            ok = all(
-                g.face_color[face_of[h[x]]] == g.face_color[face_of[x]]
-                and g.face_label[face_of[h[x]]] == g.face_label[face_of[x]]
-                for x in range(n)
-            )
-        if ok:
-            out.append(tuple(h))
-    return out
 
 
 def edge_length(w: int, i: int, j: int, r: int) -> Fraction:

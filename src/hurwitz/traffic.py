@@ -89,7 +89,9 @@ class TrafficState:
         return "left" if vertex_label > self.step else "right"
 
 
-def _walk_tables(g: MNRRibbonGraph):
+def walk_tables(g: MNRRibbonGraph):
+    """(rotation, inverse rotation, natural dart of each edge, edge index of
+    each natural dart): what the step walks of circles() look up."""
     rot = g.map.rotation
     inv_rot = [0] * len(rot)
     for x, y in enumerate(rot):
@@ -100,9 +102,9 @@ def _walk_tables(g: MNRRibbonGraph):
     return rot, inv_rot, nat, edge_of_nat
 
 
-def _circles(g: MNRRibbonGraph, state: TrafficState, tables=None):
+def circles(g: MNRRibbonGraph, state: TrafficState, tables=None):
     """Orbits of the step-i walk on natural darts, each from its minimum."""
-    rot, inv_rot, _nat, edge_of_nat = tables or _walk_tables(g)
+    rot, inv_rot, _nat, edge_of_nat = tables or walk_tables(g)
     invol = g.map.edge_involution
 
     def succ(x):
@@ -153,7 +155,7 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     for w, ts in zip(h.weights, ticks.per_edge):
         if len(ts) != w:
             raise ValueError("tick counts must equal edge weights")
-    tables = _walk_tables(g)
+    tables = walk_tables(g)
     edge_of_nat = tables[3]
     invol = g.map.edge_involution
     face_of = g.face_of_dart
@@ -163,7 +165,7 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     for i in range(h.params.r + 1):
         images = [None] * d
         tick_cycles = []
-        for circle in _circles(g, TrafficState(i), tables):
+        for circle in circles(g, TrafficState(i), tables):
             seq = _circle_tick_cycles(circle, ticks, edge_of_nat)
             if not seq:
                 raise NonterminatingTrace(

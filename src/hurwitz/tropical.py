@@ -29,7 +29,14 @@ from functools import lru_cache
 from .core import HurwitzParams, InconsistentFiber, Partition, RZero
 from .permutation import MonodromySet, cycles, sigma_chain
 from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph
-from .traffic import TickAssignment, TrafficState, _circles, _walk_tables, canonical_ticks, ribbon_to_monodromy
+from .traffic import (
+    TickAssignment,
+    TrafficState,
+    canonical_ticks,
+    circles,
+    ribbon_to_monodromy,
+    walk_tables,
+)
 
 
 def _node_key(node) -> str:
@@ -260,51 +267,6 @@ def enumerate_tropical_graphs(m: int, n: int, r: int) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class FlowPolytope:
-    """Conservation system over the interior edges; boundary flows are fixed
-    at mu/nu and folded into the right-hand sides."""
-
-    interior: tuple  # interior edge indices
-    rows: tuple  # (coeffs over interior, rhs) per internal vertex
-    num_edges: int
-
-    def contains(self, flows) -> bool:
-        if len(flows) != self.num_edges:
-            return False
-        if any(f < 1 for f in flows):
-            return False
-        for coeffs, rhs in self.rows:
-            if sum(c * flows[k] for c, k in zip(coeffs, self.interior)) != rhs:
-                return False
-        return True
-
-
-def flow_polytope(t: TropicalGraph, mu: Partition, nu: Partition) -> FlowPolytope:
-    interior = tuple(t.interior_edge_indices())
-    rows = []
-    for i in range(1, t.r + 1):
-        coeffs = []
-        rhs = 0
-        for k in interior:
-            tail, head = t.edges[k]
-            c = 0
-            if head == ("v", i):
-                c += 1
-            if tail == ("v", i):
-                c -= 1
-            coeffs.append(c)
-        for k, (tail, head) in enumerate(t.edges):
-            if k in interior:
-                continue
-            if head == ("v", i):  # from a source
-                rhs -= mu[tail[1] - 1]
-            if tail == ("v", i):  # to a sink
-                rhs += nu[head[1] - 1]
-        rows.append((tuple(coeffs), rhs))
-    return FlowPolytope(interior, tuple(rows), len(t.edges))
-
-
 def flow_lattice_points(t: TropicalGraph, mu: Partition, nu: Partition) -> list:
     """All positive conservative integer flows with the prescribed boundary
     values, processed in vertex-label order (cuts branch, joins are forced)."""
@@ -447,7 +409,7 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
     (the number of times the circle runs through each edge).  Row k of the
     matrix corresponds to edge k of the returned graph.
     """
-    tables = _walk_tables(skeleton)
+    tables = walk_tables(skeleton)
     edge_of_nat = tables[3]
     invol = skeleton.map.edge_involution
     face_of = skeleton.face_of_dart
@@ -462,7 +424,7 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
         return tuple(row)
 
     step_circles = [
-        {frozenset(c): c for c in _circles(skeleton, TrafficState(i), tables)}
+        {frozenset(c): c for c in circles(skeleton, TrafficState(i), tables)}
         for i in range(r + 1)
     ]
     edges = []

@@ -60,7 +60,7 @@ def test_criterion_2_triple_agreement_sweep():
 
 
 def test_criterion_3_roundtrip_bijectivity():
-    params_list = all_params(4, 4)
+    params_list = all_params(4, 5)
     total_classes = 0
     for params in params_list:
         rep = T.roundtrip_check(params)
@@ -69,7 +69,7 @@ def test_criterion_3_roundtrip_bijectivity():
     _announce(
         3,
         f"chain/ribbon translation bijective with matching |Aut| on "
-        f"{len(params_list)} parameter sets, {total_classes} classes (d <= 4, r <= 4)",
+        f"{len(params_list)} parameter sets, {total_classes} classes (d <= 4, r <= 5)",
     )
 
 

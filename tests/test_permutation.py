@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import all_params, descending_partitions
 from hurwitz.core import Partition, hurwitz_params
 from hurwitz import permutation as P
+from reference import are_isomorphic, automorphism_order
 
 
 def perm_from_cycles(d, *cycs):
@@ -271,12 +272,12 @@ def test_chain_events_balance(small_params):
 def test_isomorphism_reflexive_and_transport():
     params = hurwitz_params(0, (1, 1), (2,))
     a, b = P.enumerate_monodromy_sets(params)
-    assert P.are_isomorphic(a, a)
+    assert are_isomorphic(a, a)
     # conjugation by (12) transports one labeling onto the other, so the two
     # labeled sets form a single class of automorphism order 1; this is what
     # makes the class count match the single ribbon-graph class.
-    assert P.are_isomorphic(a, b)
-    assert P.automorphism_order(a) == 1
+    assert are_isomorphic(a, b)
+    assert automorphism_order(a) == 1
     classes = P.monodromy_classes(params)
     assert len(classes) == 1 and classes[0][1] == 1
 
@@ -286,7 +287,33 @@ def test_isomorphism_respects_cut_join_pattern():
     sets = list(P.enumerate_monodromy_sets(params))
     joins = next(ms for ms in sets if P.chain_events(ms)[0].kind == "join")
     cuts = next(ms for ms in sets if P.chain_events(ms)[0].kind == "cut")
-    assert not P.are_isomorphic(joins, cuts)
+    assert not are_isomorphic(joins, cuts)
+
+
+def test_class_key_equality_is_isomorphism():
+    """For every pair of labeled sets in the stream (d <= 4, r <= 3), keys
+    agree exactly when the brute-force conjugation search finds a match.
+
+    Both relations are equivalence relations, so checking every set against
+    the first set of its key group, and the first sets of distinct groups
+    against each other, covers all pairs."""
+    checked = 0
+    for params in all_params(4, 3):
+        groups = {}
+        for ms in P.enumerate_monodromy_sets(params):
+            first = groups.setdefault(P.monodromy_class_key(ms), ms)
+            assert are_isomorphic(first, ms), params
+            checked += 1
+        for a, b in itertools.combinations(groups.values(), 2):
+            assert not are_isomorphic(a, b), params
+            checked += 1
+    assert checked == 14233 + 17038
+
+
+def test_class_aut_matches_brute_force(small_params):
+    for params in small_params:
+        for ms, aut in P.monodromy_classes(params):
+            assert aut == automorphism_order(ms), params
 
 
 def test_orbit_stabilizer_consistency(small_params):

@@ -1,7 +1,10 @@
+import functools
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.core import Infeasible, NonIntegerGenus, Partition, RZero, hurwitz_params
 from hurwitz import permutation as P
@@ -95,9 +98,9 @@ def brute_force_skeletons(m, n, r):
                     )
                     if raw in seen:
                         continue
-                    # a fresh class: record it and mark its whole phase orbit
-                    g = R.MNRRibbonGraph(cmap, vlabel, tuple(cols), tuple(labs))
-                    found[g.canonical_key()] = R.aut_order(g)
+                    # a fresh class: mark its whole phase orbit; the phase
+                    # maps that fix raw are its automorphisms
+                    orbit = []
                     for h in phase_maps:
                         t_inv = [0] * nd
                         t_col = [None] * nd
@@ -106,7 +109,10 @@ def brute_force_skeletons(m, n, r):
                             t_inv[h[x]] = h[inv[x]]
                             t_col[h[x]] = raw[1][x]
                             t_lab[h[x]] = raw[2][x]
-                        seen.add((tuple(t_inv), tuple(t_col), tuple(t_lab)))
+                        orbit.append((tuple(t_inv), tuple(t_col), tuple(t_lab)))
+                    seen.update(orbit)
+                    g = R.MNRRibbonGraph(cmap, vlabel, tuple(cols), tuple(labs))
+                    found[g.canonical_key()] = orbit.count(raw)
     return found
 
 
@@ -129,6 +135,73 @@ def test_enumeration_matches_brute_force_r3(m, n):
     brute = brute_force_skeletons(m, n, 3)
     med = {s.canonical_key(): a for s, a in R.enumerate_skeletons(m, n, 3)}
     assert med == brute
+
+
+# ---------------------------------------------------------------------------
+# canonical keys are invariant under relabeling the darts
+
+
+def relabel_darts(g, pi):
+    """The same labeled map with dart x renamed pi[x]; faces are re-aligned
+    with the new map's faces()."""
+    n = len(pi)
+    rot, inv, vlab = [0] * n, [0] * n, [0] * n
+    back = [0] * n
+    for x in range(n):
+        rot[pi[x]] = pi[g.map.rotation[x]]
+        inv[pi[x]] = pi[g.map.edge_involution[x]]
+        vlab[pi[x]] = g.vertex_label[x]
+        back[pi[x]] = x
+    cmap = R.CombinatorialMap(tuple(rot), tuple(inv))
+    old_face = [g.face_of_dart[back[f[0]]] for f in cmap.faces()]
+    return R.MNRRibbonGraph(
+        cmap,
+        tuple(vlab),
+        tuple(g.face_color[i] for i in old_face),
+        tuple(g.face_label[i] for i in old_face),
+    )
+
+
+# genus >= 0 bounds m + n by r + 2
+SHAPES_UP_TO_R4 = [
+    (m, n, r)
+    for r in range(1, 5)
+    for m in range(1, r + 2)
+    for n in range(1, r + 3 - m)
+    if R.skeletons_valid(m, n, r)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def skeletons_of_shape(shape):
+    return [skel for skel, _ in R.enumerate_skeletons(*shape)]
+
+
+@st.composite
+def relabeled_skeleton(draw):
+    """Any skeleton with r <= 4, a dart relabeling, and optional weights."""
+    shape = draw(st.sampled_from(SHAPES_UP_TO_R4))
+    skel = draw(st.sampled_from(skeletons_of_shape(shape)))
+    pi = draw(st.permutations(range(skel.map.num_darts)))
+    weights = draw(
+        st.none()
+        | st.lists(st.integers(0, 3), min_size=2 * skel.r, max_size=2 * skel.r)
+    )
+    return skel, tuple(pi), weights
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_skeleton())
+def test_canonical_key_invariant_under_dart_relabeling(data):
+    skel, pi, weights = data
+    moved = relabel_darts(skel, pi)
+    moved_weights = None
+    if weights is not None:
+        by_edge = {
+            frozenset((pi[x], pi[y])): w for (x, y), w in zip(skel.edges(), weights)
+        }
+        moved_weights = tuple(by_edge[frozenset(e)] for e in moved.edges())
+    assert moved.canonical_key(moved_weights) == skel.canonical_key(weights)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +320,6 @@ def test_genus_of_one_one_two_skeleton():
     assert len(skel.map.faces()) == 2
     assert skel.genus() == 1
     assert aut == 2
-    assert R.aut_order(skel) == 2
 
 
 def test_genus_forced_by_valence():
@@ -283,7 +355,7 @@ def test_single_class_counts():
 def test_natural_orientation_on_genus_one_skeleton():
     (pair,) = R.enumerate_skeletons(1, 1, 2)
     skel, _ = pair
-    orients = sorted(R.natural_orientation(skel, e) for e in skel.edges())
+    orients = sorted(skel.natural_orientation(e) for e in skel.edges())
     assert orients == [(1, 2), (1, 2), (2, 1), (2, 1)]
 
 
