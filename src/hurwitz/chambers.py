@@ -15,12 +15,13 @@ polynomial lives in mu_1..mu_m, nu_1..nu_{n-1}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (
     FitFailed,
-    HurwitzParams,
     InsufficientSamples,
     OnWall,
     Partition,
@@ -108,48 +109,50 @@ def _monomials(num_vars: int, max_degree: int) -> list:
     return out
 
 
-def _eval_monomial(exps, point) -> Fraction:
-    v = Fraction(1)
-    for e, x in zip(exps, point):
-        v *= Fraction(x) ** e
-    return v
+def _eval_monomial(exps, point):
+    return math.prod(x**e for x, e in zip(point, exps))
 
 
-def _solve_exact(rows, rhs):
-    """Gaussian elimination over Fraction; returns None if the system has no
-    unique solution on the given rows."""
-    k = len(rows[0])
-    aug = [list(map(Fraction, row)) + [Fraction(v)] for row, v in zip(rows, rhs)]
-    pivot_rows = []
-    col = 0
-    for col in range(k):
-        pr = None
-        for i in range(len(aug)):
-            if i in pivot_rows:
-                continue
-            if aug[i][col] != 0:
-                pr = i
-                break
-        if pr is None:
-            return None
-        pivot_rows.append(pr)
-        pivot = aug[pr][col]
-        aug[pr] = [x / pivot for x in aug[pr]]
-        for i in range(len(aug)):
-            if i != pr and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[pr])]
-    # consistency of the remaining rows
-    for i in range(len(aug)):
-        if i not in pivot_rows and any(x != 0 for x in aug[i][:k]):
-            return None
-        if i not in pivot_rows and aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for i, pr in enumerate(pivot_rows):
-        lead = next(c for c in range(k) if aug[pr][c] != 0)
-        sol[lead] = aug[pr][k]
-    return sol
+def _subtract(row, f, prow) -> list:
+    """row - f * prow.  Reduced pivot rows are zero in every other pivot
+    column, so skipping prow's zeros saves most of the Fraction arithmetic."""
+    return [a - f * b if b else a for a, b in zip(row, prow)]
+
+
+def eliminate(rows, k: int):
+    """One exact incremental elimination over augmented rows [a_1..a_k | b].
+
+    The rows are walked in order.  Each is reduced against the pivot rows
+    kept so far; if its coefficient part is still nonzero it becomes a new
+    pivot row and its pivot column is cleared from the earlier ones, so the
+    kept rows stay in reduced echelon form.  The walk stops at rank k.
+
+    Returns the indices of the kept rows, which are exactly the rows that
+    raise the rank of the rows before them, and the solution of the kept
+    system read off the augmented column (None below rank k).
+    """
+    pivots = []  # (column, row) with row[column] == 1
+    kept = []
+    for i, row in enumerate(rows):
+        row = [Fraction(x) for x in row]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = _subtract(row, f, prow)
+        col = next((c for c in range(k) if row[c]), None)
+        if col is None:
+            continue
+        pv = row[col]
+        row = [x / pv for x in row]
+        for j, (c, prow) in enumerate(pivots):
+            f = prow[col]
+            if f:
+                pivots[j] = (c, _subtract(prow, f, row))
+        pivots.append((col, row))
+        kept.append(i)
+        if len(kept) == k:
+            return kept, [prow[k] for _, prow in sorted(pivots)]
+    return kept, None
 
 
 @dataclass(frozen=True)
@@ -211,30 +214,30 @@ def degree_check(cp: ChamberPolynomial) -> bool:
     return cp.degree() <= 4 * cp.g - 3 + cp.m + cp.n
 
 
-def _sample_points(g: int, m: int, n: int, wall_list, dmax: int):
-    """In-chamber integer points grouped by chamber sign vector, each sorted
-    by decreasing distance to the nearest wall (ties lexicographic)."""
+@lru_cache(maxsize=None)
+def _sample_points(m: int, n: int, dmax: int) -> tuple:
+    """In-chamber integer points up to degree dmax, as (signs, points) pairs
+    in sign order.  Each chamber's (mu, nu) points are sorted by decreasing
+    distance to the nearest wall (ties lexicographic)."""
+    wall_list = walls(m, n)
     chambers = {}
     for d in range(max(m, n), dmax + 1):
-        for mu_parts in itertools.product(range(1, d + 1), repeat=m):
-            if sum(mu_parts) != d:
+        for mu in itertools.product(range(1, d + 1), repeat=m):
+            if sum(mu) != d:
                 continue
-            for nu_parts in itertools.product(range(1, d + 1), repeat=n):
-                if sum(nu_parts) != d:
+            for nu in itertools.product(range(1, d + 1), repeat=n):
+                if sum(nu) != d:
                     continue
-                mu = Partition(mu_parts)
-                nu = Partition(nu_parts)
-                try:
-                    signs = chamber_of(mu, nu, wall_list)
-                except OnWall:
+                vals = [w.functional(mu, nu) for w in wall_list]
+                if 0 in vals:
                     continue
-                gap = min(
-                    (abs(w.functional(mu, nu)) for w in wall_list), default=d
-                )
-                chambers.setdefault(signs, []).append((-gap, mu_parts, nu_parts))
-    for signs in chambers:
-        chambers[signs].sort()
-    return chambers
+                signs = tuple(1 if v > 0 else -1 for v in vals)
+                gap = min(map(abs, vals), default=d)
+                chambers.setdefault(signs, []).append((-gap, mu, nu))
+    return tuple(
+        (signs, tuple((mu, nu) for _, mu, nu in sorted(chambers[signs])))
+        for signs in sorted(chambers)
+    )
 
 
 def fit_chamber_polynomial(
@@ -242,15 +245,14 @@ def fit_chamber_polynomial(
     m: int,
     n: int,
     signs: tuple,
-    sample_budget: int = 0,
     dmax: int = 10,
     oracle=None,
 ) -> ChamberPolynomial:
     """Interpolate H_g on one chamber and validate on held-out points.
 
-    The oracle defaults to the permutation count.  sample_budget = 0 uses
-    every available in-chamber point up to dmax (fit on the first
-    len(monomials) independent ones, hold out the rest).
+    The oracle defaults to the permutation count.  It is evaluated on every
+    in-chamber point up to dmax; the fit uses the first len(monomials)
+    independent points and holds out the rest.
     """
     r = 2 * g - 2 + m + n
     if r < 1:
@@ -260,87 +262,37 @@ def fit_chamber_polynomial(
             hurwitz_params(g, Partition(mu), Partition(nu))
         )
     )
-    wall_list = walls(m, n)
-    chambers = _sample_points(g, m, n, wall_list, dmax)
-    if signs not in chambers:
+    pts = dict(_sample_points(m, n, dmax)).get(signs)
+    if pts is None:
         raise InsufficientSamples(f"no integer points found in chamber {signs}")
-    pts = [(mu, nu) for _, mu, nu in chambers[signs]]
-    if sample_budget:
-        pts = pts[:sample_budget]
     monos = tuple(_monomials(m + n - 1, 4 * g - 3 + m + n))
     if len(pts) < len(monos) + 1:
         raise InsufficientSamples(
             f"chamber {signs}: {len(pts)} points for {len(monos)} coefficients"
         )
+    values = [oracle(mu, nu) for mu, nu in pts]
 
-    values = {}
-    for mu, nu in pts:
-        values[(mu, nu)] = oracle(mu, nu)
-
-    # build the fit set greedily to full rank, hold out everything else
-    rows = []
-    rhs = []
-    used = []
-    basis_rank = 0
-    for mu, nu in pts:
-        point = mu + nu[: n - 1]
-        row = [_eval_monomial(e, point) for e in monos]
-        candidate = rows + [row]
-        if _rank(candidate) > basis_rank:
-            rows.append(row)
-            rhs.append(values[(mu, nu)])
-            used.append((mu, nu))
-            basis_rank += 1
-        if basis_rank == len(monos):
-            break
-    if basis_rank < len(monos):
-        raise InsufficientSamples(
-            f"chamber {signs}: sample grid has rank {basis_rank} < {len(monos)}"
-        )
-    coeffs = _solve_exact(rows, rhs)
+    # fit on the first full-rank set of points, hold out everything else
+    rows = (
+        [_eval_monomial(e, mu + nu[: n - 1]) for e in monos] + [v]
+        for (mu, nu), v in zip(pts, values)
+    )
+    kept, coeffs = eliminate(rows, len(monos))
     if coeffs is None:
-        raise InsufficientSamples(f"chamber {signs}: degenerate sample grid")
-
+        raise InsufficientSamples(
+            f"chamber {signs}: sample grid has rank {len(kept)} < {len(monos)}"
+        )
     cp = ChamberPolynomial(
         g, m, n, signs, monos, tuple(coeffs), len(pts), holdout_passed=False
     )
-    holdout = [p for p in pts if p not in used]
-    for mu, nu in holdout:
-        if cp.evaluate(mu, nu) != values[(mu, nu)]:
+    kept = set(kept)
+    for i, ((mu, nu), v) in enumerate(zip(pts, values)):
+        if i not in kept and cp.evaluate(mu, nu) != v:
             raise FitFailed(
                 f"chamber {signs}: exact residual at mu={mu}, nu={nu}: "
-                f"poly={cp.evaluate(mu, nu)} oracle={values[(mu, nu)]}"
+                f"poly={cp.evaluate(mu, nu)} oracle={v}"
             )
-    return ChamberPolynomial(
-        g, m, n, signs, monos, tuple(coeffs), len(pts), holdout_passed=True
-    )
-
-
-def _rank(rows) -> int:
-    if not rows:
-        return 0
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    cols = len(mat[0])
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [x / pv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return replace(cp, holdout_passed=True)
 
 
 class ChamberFits(list):
@@ -356,11 +308,9 @@ def fit_all_chambers(g: int, m: int, n: int, dmax: int = 10) -> ChamberFits:
     """Fit every chamber that contains at least one sample point; chambers
     whose samples up to dmax cannot determine the polynomial are reported in
     the result's ``skipped``."""
-    wall_list = walls(m, n)
-    chambers = _sample_points(g, m, n, wall_list, dmax)
     fitted = []
     skipped = []
-    for signs in sorted(chambers):
+    for signs, _ in _sample_points(m, n, dmax):
         try:
             fitted.append(fit_chamber_polynomial(g, m, n, signs, dmax=dmax))
         except InsufficientSamples as exc:

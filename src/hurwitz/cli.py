@@ -17,7 +17,14 @@ import os
 import sys
 import time
 
-from .core import HurwitzError, Partition, RZero, format_rational, hurwitz_params
+from .core import (
+    HurwitzError,
+    Partition,
+    RZero,
+    format_rational,
+    hurwitz_params,
+    sweep_params,
+)
 from .permutation import count_hurwitz_permutation, enumerate_monodromy_sets
 from .ribbon import (
     check_ribbon_r,
@@ -134,37 +141,6 @@ def cmd_enumerate(args) -> int:
         return _fail(str(exc))
 
 
-def _descending_partitions(d: int) -> list:
-    def gen(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for p in range(min(total, cap), 0, -1):
-            for rest in gen(total - p, p):
-                yield (p,) + rest
-
-    return list(gen(d, d))
-
-
-def sweep_params(max_d: int, max_r: int) -> list:
-    """All (g, mu, nu) with sum <= max_d and 1 <= r <= max_r, partitions taken
-    descending (parts are labels; counts are invariant under reordering)."""
-    out = []
-    for d in range(1, max_d + 1):
-        parts = _descending_partitions(d)
-        for mu in parts:
-            for nu in parts:
-                g = 0
-                while True:
-                    r = 2 * g - 2 + len(mu) + len(nu)
-                    if r > max_r:
-                        break
-                    if r >= 1:
-                        out.append((g, mu, nu))
-                    g += 1
-    return out
-
-
 def _verify_one(job):
     g, mu, nu = job
     params = hurwitz_params(g, Partition(mu), Partition(nu))
@@ -205,7 +181,7 @@ def cmd_verify(args) -> int:
         workers = worker_count()
     except (HurwitzError, ValueError) as exc:
         return _fail(str(exc))
-    jobs = sweep_params(args.max_d, args.max_r)
+    jobs = list(sweep_params(args.max_d, args.max_r))
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -234,6 +210,8 @@ def cmd_verify(args) -> int:
 def cmd_chambers(args) -> int:
     from .chambers import degree_check, fit_all_chambers, walls
 
+    if args.genus < 0 or args.m < 1 or args.n < 1:
+        return _fail("chambers needs --genus >= 0, --m >= 1 and --n >= 1")
     r = 2 * args.genus - 2 + args.m + args.n
     if r < 1:
         return _fail(f"(g={args.genus}, m={args.m}, n={args.n}) has r={r}; no chambers")

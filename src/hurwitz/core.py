@@ -184,3 +184,35 @@ def hurwitz_params(g: int, mu, nu) -> HurwitzParams:
     if not isinstance(nu, Partition):
         nu = Partition(nu)
     return HurwitzParams(g, mu, nu)
+
+
+def descending_partitions(d: int) -> list:
+    """Every partition of d as a tuple of weakly decreasing parts."""
+
+    def gen(total, cap):
+        if total == 0:
+            yield ()
+            return
+        for p in range(min(total, cap), 0, -1):
+            for rest in gen(total - p, p):
+                yield (p,) + rest
+
+    return list(gen(d, d))
+
+
+def sweep_params(max_d: int, max_r: int):
+    """Yield every (g, mu, nu) with sum <= max_d and 1 <= r <= max_r, as plain
+    tuples, partitions taken descending (parts are labels; counts are
+    invariant under reordering)."""
+    for d in range(1, max_d + 1):
+        parts = descending_partitions(d)
+        for mu in parts:
+            for nu in parts:
+                g = 0
+                while True:
+                    r = 2 * g - 2 + len(mu) + len(nu)
+                    if r > max_r:
+                        break
+                    if r >= 1:
+                        yield g, mu, nu
+                    g += 1

@@ -80,9 +80,14 @@ class CombinatorialMap:
     def vertices(self) -> list:
         return _orbits(lambda x: self.rotation[x], self.num_darts)
 
-    def faces(self) -> list:
+    # The map is immutable, so its faces are walked once.  The cached value
+    # lives outside the dataclass fields, so equality and hashing are
+    # unchanged.
+    @cached_property
+    def face_orbits(self) -> tuple:
+        """Orbits of rotation . involution, sorted by minimum dart."""
         rot, inv = self.rotation, self.edge_involution
-        return _orbits(lambda x: rot[inv[x]], self.num_darts)
+        return tuple(_orbits(lambda x: rot[inv[x]], self.num_darts))
 
     def edges(self) -> list:
         """Edges as sorted dart pairs, in increasing order."""
@@ -105,7 +110,7 @@ class CombinatorialMap:
     def genus(self) -> int:
         v = len(self.vertices())
         e = self.num_darts // 2
-        f = len(self.faces())
+        f = len(self.face_orbits)
         chi = v - e + f
         if chi % 2 != 0:
             raise NonIntegerGenus(f"V-E+F = {chi} is odd")
@@ -124,7 +129,7 @@ class MNRRibbonGraph:
     """A connected 4-valent bicolored map with labeled vertices and faces.
 
     vertex_label assigns 1..r per dart (constant on rotation orbits);
-    face_color/face_label are aligned with map.faces() (orbits by minimum
+    face_color/face_label are aligned with map.face_orbits (orbits by minimum
     dart), colors 'white'/'gray', white labels 1..m, gray labels 1..n.
     """
 
@@ -147,9 +152,9 @@ class MNRRibbonGraph:
             range(1, r + 1)
         ):
             raise ValueError("vertex labels must be a bijection onto 1..r")
-        fs = self.face_orbits
+        fs = m.face_orbits
         if len(fs) != len(self.face_color) or len(fs) != len(self.face_label):
-            raise ValueError("face annotations must align with faces()")
+            raise ValueError("face annotations must align with face_orbits")
         whites = [
             lab
             for col, lab in zip(self.face_color, self.face_label)
@@ -170,19 +175,13 @@ class MNRRibbonGraph:
             if self.face_color[face_of[x]] == self.face_color[face_of[y]]:
                 raise ValueError("map is not bicolored")
 
-    # The map is immutable, so its faces are walked once per graph.  The
-    # cached values live outside the dataclass fields, so equality and hashing
-    # are unchanged.
-    @cached_property
-    def face_orbits(self) -> tuple:
-        """map.faces(), computed once."""
-        return tuple(self.map.faces())
-
+    # Cached outside the dataclass fields, so equality and hashing are
+    # unchanged.
     @cached_property
     def face_of_dart(self) -> tuple:
-        """face_of_dart[x] is the index in face_orbits of the face through x."""
+        """face_of_dart[x] indexes the face through x in map.face_orbits."""
         out = [0] * self.map.num_darts
-        for i, f in enumerate(self.face_orbits):
+        for i, f in enumerate(self.map.face_orbits):
             for x in f:
                 out[x] = i
         return tuple(out)
@@ -230,7 +229,9 @@ class MNRRibbonGraph:
     def _faces_of_color(self, color: str) -> list:
         return sorted(
             (lab, f)
-            for f, col, lab in zip(self.face_orbits, self.face_color, self.face_label)
+            for f, col, lab in zip(
+                self.map.face_orbits, self.face_color, self.face_label
+            )
             if col == color
         )
 
@@ -348,7 +349,7 @@ class LabeledMap:
 
     map: CombinatorialMap
     vertex_label: tuple  # per dart
-    face_label: tuple  # aligned with map.faces()
+    face_label: tuple  # aligned with map.face_orbits
     edge_label: tuple  # aligned with map.edges()
 
     def __post_init__(self):
@@ -361,7 +362,7 @@ class LabeledMap:
         nv = len(m.vertices())
         if sorted(set(self.vertex_label)) != list(range(1, nv + 1)):
             raise ValueError("vertex labels must be a bijection onto 1..m")
-        if sorted(self.face_label) != list(range(1, len(m.faces()) + 1)):
+        if sorted(self.face_label) != list(range(1, len(m.face_orbits) + 1)):
             raise ValueError("face labels must be a bijection onto 1..n")
         if sorted(self.edge_label) != list(range(1, len(m.edges()) + 1)):
             raise ValueError("edge labels must be a bijection onto 1..r")
@@ -399,12 +400,12 @@ def medial_graph(gm: LabeledMap) -> MNRRibbonGraph:
         for x in c:
             white_of[x] = lab
     face_label_of_old = {}
-    for i, f in enumerate(base.faces()):
+    for i, f in enumerate(base.face_orbits):
         for x in f:
             face_label_of_old[x] = gm.face_label[i]
     colors = []
     labels = []
-    for f in skeleton.faces():
+    for f in skeleton.face_orbits:
         if f[0] % 2 == 1:  # in-darts: white
             colors.append("white")
             labels.append(white_of[(f[0] - 1) // 2])
@@ -412,20 +413,16 @@ def medial_graph(gm: LabeledMap) -> MNRRibbonGraph:
             colors.append("gray")
             labels.append(face_label_of_old[inv[old_of_new[f[0] // 2]]])
     return MNRRibbonGraph(
-        skeleton.map, skeleton.vertex_label, tuple(colors), tuple(labels)
+        skeleton, _medial_vertex_label(skeleton), tuple(colors), tuple(labels)
     )
 
 
-@dataclass(frozen=True)
-class _BareMedial:
-    map: CombinatorialMap
-    vertex_label: tuple
-
-    def faces(self):
-        return self.map.faces()
+def _medial_vertex_label(cmap: CombinatorialMap) -> tuple:
+    """Medial vertex k owns darts 4k..4k+3 and carries label k + 1."""
+    return tuple(x // 4 + 1 for x in range(cmap.num_darts))
 
 
-def _medial_from_sigma(sigma: tuple) -> _BareMedial:
+def _medial_from_sigma(sigma: tuple) -> CombinatorialMap:
     """4-valent map of the medial construction for a map given as a rotation
     sigma on darts 0..2r-1 with edge k = {2k, 2k+1}.
 
@@ -446,9 +443,7 @@ def _medial_from_sigma(sigma: tuple) -> _BareMedial:
     for a in range(two_r):
         inv[2 * a] = 2 * sigma[a] + 1
         inv[2 * sigma[a] + 1] = 2 * a
-    cmap = CombinatorialMap(tuple(rotation), tuple(inv))
-    vlabel = tuple(x // 4 + 1 for x in range(n))
-    return _BareMedial(cmap, vlabel)
+    return CombinatorialMap(tuple(rotation), tuple(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -773,21 +768,23 @@ def _labeling_orbits(record, m: int, n: int):
 
 
 def _build_skeleton(record, vlab, glab) -> MNRRibbonGraph:
-    bare = _medial_from_sigma(record["sigma"])
+    cmap = _medial_from_sigma(record["sigma"])
     whites, grays = record["whites"], record["grays"]
     nd = len(record["sigma"])
     white_lab = _face_index(whites, nd)
     gray_lab = _face_index(grays, nd)
     colors = []
     labels = []
-    for f in bare.faces():
+    for f in cmap.face_orbits:
         if f[0] % 2 == 1:
             colors.append("white")
             labels.append(vlab[white_lab[(f[0] - 1) // 2]])
         else:
             colors.append("gray")
             labels.append(glab[gray_lab[f[0] // 2]])
-    return MNRRibbonGraph(bare.map, bare.vertex_label, tuple(colors), tuple(labels))
+    return MNRRibbonGraph(
+        cmap, _medial_vertex_label(cmap), tuple(colors), tuple(labels)
+    )
 
 
 def skeletons_valid(m: int, n: int, r: int) -> bool:

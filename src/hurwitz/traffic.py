@@ -315,7 +315,7 @@ def _assemble(ms: MonodromySet, circles):
     vertex_label = tuple(x // 4 + 1 for x in range(n_darts))
 
     # faces: out-germ orbits are gray, in-germ orbits white
-    face_list = cmap.faces()
+    face_list = cmap.face_orbits
     colors = []
     for f in face_list:
         kinds = {x % 4 for x in f}

@@ -1,38 +1,12 @@
-import itertools
-
 import pytest
 
-from hurwitz.core import hurwitz_params
+from hurwitz.core import hurwitz_params, sweep_params
 
 
-def descending_partitions(d):
-    def gen(total, cap):
-        if total == 0:
-            yield ()
-            return
-        for p in range(min(total, cap), 0, -1):
-            for rest in gen(total - p, p):
-                yield (p,) + rest
-
-    return list(gen(d, d))
-
-
-def all_params(max_d, max_r, min_r=1):
-    """Every (g, mu, nu) with d <= max_d and min_r <= r <= max_r, descending
-    partition representatives."""
-    out = []
-    for d in range(1, max_d + 1):
-        parts = descending_partitions(d)
-        for mu, nu in itertools.product(parts, parts):
-            g = 0
-            while True:
-                r = 2 * g - 2 + len(mu) + len(nu)
-                if r > max_r:
-                    break
-                if r >= min_r:
-                    out.append(hurwitz_params(g, mu, nu))
-                g += 1
-    return out
+def all_params(max_d, max_r):
+    """Every (g, mu, nu) with d <= max_d and 1 <= r <= max_r, descending
+    partition representatives, as validated parameters."""
+    return [hurwitz_params(g, mu, nu) for g, mu, nu in sweep_params(max_d, max_r)]
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,18 @@
-"""Brute-force reference for isomorphism of monodromy sets.
+"""Brute-force references the library is checked against.
 
-The library decides it through one canonical form, the rotation orbit of the
-aligned set (``permutation.monodromy_class_key``, ``monodromy_classes``); the
-tests check keys and automorphism orders against the direct conjugation
-search kept here.  The ribbon-graph reference, a scan over every vertex
-phase, is ``brute_force_skeletons`` in test_ribbon.py.
+Isomorphism of monodromy sets: the library decides it through one canonical
+form, the rotation orbit of the aligned set
+(``permutation.monodromy_class_key``, ``monodromy_classes``); the tests check
+keys and automorphism orders against the direct conjugation search kept
+here.  The ribbon-graph reference, a scan over every vertex phase, is
+``brute_force_skeletons`` in test_ribbon.py.
+
+Rank: ``rank`` re-eliminates a whole matrix from scratch, the reference for
+the incremental elimination in ``chambers.eliminate``.
 """
 
 import itertools
+from fractions import Fraction
 
 from hurwitz import permutation as P
 
@@ -63,3 +68,23 @@ def are_isomorphic(a, b) -> bool:
 def automorphism_order(ms) -> int:
     """Order of the group of label-preserving self-conjugations."""
     return sum(1 for g in conjugation_candidates(ms, ms) if _conjugates_onto(ms, ms, g))
+
+
+def rank(rows) -> int:
+    """Rank over the rationals by Gaussian elimination of the whole matrix."""
+    mat = [list(map(Fraction, row)) for row in rows]
+    rk = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        piv = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[rk], mat[piv] = mat[piv], mat[rk]
+        pv = mat[rk][c]
+        mat[rk] = [x / pv for x in mat[rk]]
+        for i in range(len(mat)):
+            if i != rk and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
+        rk += 1
+    return rk

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hurwitz.core import (
     FitFailed,
@@ -12,6 +14,7 @@ from hurwitz.core import (
 from hurwitz import chambers as C
 from hurwitz.permutation import count_hurwitz_permutation
 from hurwitz.tropical import enumerate_tropical_graphs  # noqa: F401  (import sanity)
+from reference import rank
 
 
 def test_walls_trivial_cases():
@@ -134,3 +137,41 @@ def test_thin_chambers_are_reported_not_dropped():
     assert [signs for signs, _ in fits.skipped] == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     for _, reason in fits.skipped:
         assert "50 points for 56 coefficients" in reason
+
+
+def test_g0_two_three_at_dmax_12():
+    # 18 sampled chambers, 6 with enough points; the grid is sampled once
+    C._sample_points.cache_clear()
+    fits = C.fit_all_chambers(0, 2, 3, dmax=12)
+    assert C._sample_points.cache_info().misses == 1
+    assert len(fits) == 6 and len(fits.skipped) == 12
+    for cp in fits:
+        assert cp.holdout_passed and C.degree_check(cp)
+
+
+@st.composite
+def augmented_systems(draw):
+    k = draw(st.integers(1, 4))
+    entry = st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entry, min_size=k + 1, max_size=k + 1), max_size=9))
+    return k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(augmented_systems())
+def test_eliminate_keeps_the_rank_raising_rows(system):
+    k, rows = system
+    kept, solution = C.eliminate(rows, k)
+    # the greedy basis: walk the rows, keep one when the reference rank grows
+    basis = []
+    for i, row in enumerate(rows):
+        if len(basis) == k:
+            break
+        if rank([rows[j][:k] for j in basis] + [row[:k]]) > len(basis):
+            basis.append(i)
+    assert kept == basis
+    assert (solution is None) == (len(basis) < k)
+    if solution is not None:
+        for i in kept:
+            *coeffs, b = rows[i]
+            assert sum(a * x for a, x in zip(coeffs, solution)) == b

@@ -219,6 +219,20 @@ def test_chambers_without_samples_exits_one():
     assert "--dmax 2" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--genus", "0", "--m", "0", "--n", "3"],
+        ["--genus", "1", "--m", "2", "--n", "0"],
+        ["--genus", "-1", "--m", "3", "--n", "3", "--dmax", "9"],
+    ],
+)
+def test_chambers_out_of_range_exits_one(argv):
+    code, out, err = run_cli(["chambers"] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_roundtrip_command():
     code, out, _ = run_cli(["roundtrip", "--genus", "0", "--mu", "2,1", "--nu", "2,1"])
     assert code == 0

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_params, descending_partitions
-from hurwitz.core import Partition, hurwitz_params
+from conftest import all_params
+from hurwitz.core import Partition, descending_partitions, hurwitz_params
 from hurwitz import permutation as P
 from reference import are_isomorphic, automorphism_order
 
