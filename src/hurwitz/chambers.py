@@ -90,7 +90,7 @@ def chamber_of(mu: Partition, nu: Partition, wall_list) -> tuple:
     for w in wall_list:
         v = w.functional(mu, nu)
         if v == 0:
-            raise OnWall(f"({mu.parts}, {nu.parts}) lies on {w.describe()}")
+            raise OnWall(f"({tuple(mu)}, {tuple(nu)}) lies on {w.describe()}")
         signs.append(1 if v > 0 else -1)
     return tuple(signs)
 

@@ -104,6 +104,8 @@ def cmd_enumerate(args) -> int:
                 return _fail(f"--kind {kind} needs --m, --n and --r")
             if args.r < 1:
                 return _fail("r >= 1 required")
+            if args.m < 1 or args.n < 1:
+                return _fail(f"--kind {kind} needs --m >= 1 and --n >= 1")
             if kind == "skeletons":
                 items = enumerate_skeletons(args.m, args.n, args.r)
                 for skel, aut in items:

@@ -251,12 +251,6 @@ class LabeledPermutation:
     def label_lengths(self) -> tuple:
         return tuple(len(c) for c in self.cycles_by_label)
 
-    def label_of_cycle_containing(self, x: int) -> int:
-        for i, c in enumerate(self.cycles_by_label):
-            if x in c:
-                return i + 1
-        raise ValueError(f"{x} not in any cycle")
-
     def serialize(self) -> str:
         """All cycles shown (length-1 included), each suffixed with [label]."""
         return "".join(

@@ -611,10 +611,10 @@ def _swap_tables(r: int) -> list:
     return tables
 
 
-# Largest r the ribbon method accepts.  Its tables hold every connected map on
-# 2r darts up to per-edge swaps: 97,968 records at r = 5, built in a few
-# seconds, but about 12!/2^6 = 7.5 M at r = 6, which takes minutes of work and
-# gigabytes of records.
+# Largest r the ribbon method accepts.  Its tables hold the connected maps on
+# 2r darts up to per-edge swaps with m vertices and n faces: at most 20,640
+# records at r = 5, built in under a second, but about 12!/2^6 = 7.5 M over
+# all buckets at r = 6, whose per-bucket cost is not yet tabulated.
 MAX_RIBBON_R = 5
 
 
@@ -628,9 +628,9 @@ def check_ribbon_r(r: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _base_map_classes(r: int) -> dict:
-    """Isomorphism classes of connected maps with r labeled edges, bucketed by
-    (#vertices, #faces).
+def _base_map_classes(r: int, m: int, n: int) -> list:
+    """Isomorphism classes of connected maps with r labeled edges, m vertices
+    and n faces.
 
     A map is a rotation sigma on darts 0..2r-1 with edge k = {2k, 2k+1}; two
     rotations are isomorphic iff conjugate under the per-edge dart swaps t,
@@ -650,13 +650,54 @@ def _base_map_classes(r: int) -> dict:
     ties again is passed down.  At a leaf the tables still tied satisfy
     t sigma t = sigma, so together with the identity they are exactly the
     swap stabilizer.
+
+    The search also follows the partial sigma and the partial gray walk
+    phi(x) = sigma(x)^1 as open paths plus closed cycles.  With k darts left
+    unassigned there are k open paths, and a completion closes between 1 and
+    k more cycles (none once k = 0).  A branch whose closed vertex or face
+    count can no longer end at exactly m or n is pruned, so only this
+    bucket's leaves are reached, in the same order as in a search over all
+    buckets.
     """
     check_ribbon_r(r)
-    n = 2 * r
+    nd = 2 * r
     tables = _swap_tables(r)
-    buckets = {}
-    sigma = [0] * n
-    used = [False] * n
+    out = []
+    sigma = [0] * nd
+    used = [False] * nd
+    # Open paths of a partial permutation p: start[x] is the first dart of the
+    # path ending at a dart x with p(x) unassigned, end[y] the last dart of the
+    # path starting at a dart y outside the image.  Index 0 follows sigma,
+    # index 1 follows phi; closed counts their cycles.
+    start = (list(range(nd)), list(range(nd)))
+    end = (list(range(nd)), list(range(nd)))
+    closed = [0, 0]
+    target = (m, n)
+
+    def link(x, u):
+        """Set sigma(x) = u; False if the cycle counts can no longer reach
+        (m, n) with the darts after x still unassigned."""
+        left = nd - 1 - x
+        ok = True
+        for p, y in ((0, u), (1, u ^ 1)):
+            s, e = start[p][x], end[p][y]
+            if s == y:
+                closed[p] += 1
+            else:
+                start[p][e] = s
+                end[p][s] = e
+            if not closed[p] + (left > 0) <= target[p] <= closed[p] + left:
+                ok = False
+        return ok
+
+    def unlink(x, u):
+        for p, y in ((0, u), (1, u ^ 1)):
+            s, e = start[p][x], end[p][y]
+            if s == y:
+                closed[p] -= 1
+            else:
+                start[p][e] = y
+                end[p][s] = x
 
     def add_if_connected(stab):
         # connectivity under <sigma, xor 1>
@@ -670,19 +711,16 @@ def _base_map_classes(r: int) -> dict:
                     comp |= 1 << y
                     cnt += 1
                     frontier.append(y)
-        if cnt != n:
+        if cnt != nd:
             return
         s = tuple(sigma)
-        cycles = _orbits(lambda x: s[x], n)
-        grays = _orbits(lambda x: s[x] ^ 1, n)
-        key = (len(cycles), len(grays))
-        lower = tuple(1 if x // 2 >= s[x] // 2 else 0 for x in range(n))
-        buckets.setdefault(key, []).append(
+        lower = tuple(1 if x // 2 >= s[x] // 2 else 0 for x in range(nd))
+        out.append(
             {
                 "sigma": s,
                 "stab": stab,
-                "whites": cycles,
-                "grays": grays,
+                "whites": _orbits(lambda x: s[x], nd),
+                "grays": _orbits(lambda x: s[x] ^ 1, nd),
                 "lower": lower,
             }
         )
@@ -692,36 +730,40 @@ def _base_map_classes(r: int) -> dict:
             add_if_connected([tables[0]] + tied)
             return
         a, b = 2 * j, 2 * j + 1
-        for u in range(n):
+        for u in range(nd):
             if used[u]:
                 continue
             used[u] = True
             sigma[a] = u
-            for v in range(n):
-                if used[v]:
-                    continue
-                sigma[b] = v
-                # a break means some conjugate is smaller: prune the branch
-                still = []
-                for t in tied:
-                    c = t[sigma[t[a]]]
-                    if c != u:
-                        if c < u:
-                            break
+            if link(a, u):
+                for v in range(nd):
+                    if used[v]:
                         continue
-                    c = t[sigma[t[b]]]
-                    if c == v:
-                        still.append(t)
-                    elif c < v:
-                        break
-                else:
-                    used[v] = True
-                    extend(j + 1, still)
-                    used[v] = False
+                    sigma[b] = v
+                    # a break means some conjugate is smaller: prune the branch
+                    still = []
+                    for t in tied:
+                        c = t[sigma[t[a]]]
+                        if c != u:
+                            if c < u:
+                                break
+                            continue
+                        c = t[sigma[t[b]]]
+                        if c == v:
+                            still.append(t)
+                        elif c < v:
+                            break
+                    else:
+                        if link(b, v):
+                            used[v] = True
+                            extend(j + 1, still)
+                            used[v] = False
+                        unlink(b, v)
+            unlink(a, u)
             used[u] = False
 
     extend(0, tables[1:])
-    return buckets
+    return out
 
 
 def _face_index(faces_list, n):
@@ -804,7 +846,7 @@ def enumerate_skeletons(m: int, n: int, r: int):
     out = []
     if not skeletons_valid(m, n, r):
         return out
-    for record in _base_map_classes(r).get((m, n), []):
+    for record in _base_map_classes(r, m, n):
         for vlab, glab, stab in _labeling_orbits(record, m, n):
             out.append((_build_skeleton(record, vlab, glab), stab))
     return out
@@ -843,7 +885,7 @@ def _iter_weighted_classes(params: HurwitzParams):
     m, n, r = params.m, params.n, params.r
     mu, nu = params.mu, params.nu
     d = params.d
-    for record in _base_map_classes(r).get((m, n), []):
+    for record in _base_map_classes(r, m, n):
         lower = record["lower"]
         if sum(lower) > d:
             continue

@@ -47,6 +47,12 @@ def test_chamber_of_signs():
         C.chamber_of(Partition((2, 2)), Partition((2, 2)), wall_list)
 
 
+def test_chamber_of_on_wall_plain_tuples():
+    # the OnWall message must not need Partition attributes
+    with pytest.raises(OnWall, match=r"\(\(2, 2\), \(2, 2\)\) lies on mu1=nu1"):
+        C.chamber_of((2, 2), (2, 2), C.walls(2, 2))
+
+
 def test_fit_g0_two_two_all_chambers():
     fits = C.fit_all_chambers(0, 2, 2, dmax=8)
     assert len(fits) == 4 and fits.skipped == ()

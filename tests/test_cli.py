@@ -114,6 +114,19 @@ def test_enumerate_skeletons_needs_mnr():
     assert len(out.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "skeletons", "--m", "0", "--n", "1", "--r", "1"],
+        ["--kind", "tropical-graphs", "--m", "-1", "--n", "2", "--r", "2"],
+    ],
+)
+def test_enumerate_graphs_rejects_m_n_below_one(argv):
+    code, out, err = run_cli(["enumerate"] + argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_enumerate_monodromy_graphs():
     code, out, _ = run_cli(
         ["enumerate", "--kind", "monodromy-graphs", "--genus", "0", "--mu", "2,1", "--nu", "2,1"]

@@ -263,16 +263,28 @@ def brute_force_base_map_classes(r):
     return buckets
 
 
+def _buckets(r):
+    """Every (m, n) that admits skeletons with r vertices."""
+    return [
+        (m, n)
+        for m in range(1, 2 * r + 1)
+        for n in range(1, 2 * r + 1)
+        if R.skeletons_valid(m, n, r)
+    ]
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_base_map_classes_match_scan(r):
-    table = R._base_map_classes(r)
     brute = brute_force_base_map_classes(r)
-    # same records in the same order: bucket order and the lists inside
-    assert list(table.items()) == list(brute.items())
+    buckets = _buckets(r)
+    assert set(brute) <= set(buckets)
+    for m, n in buckets:
+        # same records in the same order
+        assert R._base_map_classes(r, m, n) == brute.get((m, n), [])
 
 
 def test_base_map_classes_r5_bucket_sizes():
-    sizes = {key: len(recs) for key, recs in R._base_map_classes(5).items()}
+    sizes = {(m, n): len(R._base_map_classes(5, m, n)) for m, n in _buckets(5)}
     assert sizes == {
         (1, 2): 5808, (2, 1): 5808,
         (1, 4): 5040, (4, 1): 5040,
@@ -282,6 +294,17 @@ def test_base_map_classes_r5_bucket_sizes():
         (3, 4): 12360, (4, 3): 12360,
     }
     assert sum(sizes.values()) == 97968
+
+
+def test_ribbon_count_builds_one_bucket():
+    R._base_map_classes.cache_clear()
+    params = hurwitz_params(1, (3, 2), (2, 2, 1))
+    assert R.count_hurwitz_ribbon(params) == P.count_hurwitz_permutation(params)
+    info = R._base_map_classes.cache_info()
+    assert info.currsize == 1
+    # the one entry is the (m, n) = (2, 3) bucket at r = 5
+    R._base_map_classes(5, 2, 3)
+    assert R._base_map_classes.cache_info().hits == info.hits + 1
 
 
 def test_ribbon_rejects_r_beyond_limit():
