@@ -68,8 +68,6 @@ def walls(m: int, n: int) -> list:
         for I in itertools.combinations(range(1, m + 1), isz):
             for jsz in range(1, n + 1):
                 for J in itertools.combinations(range(1, n + 1), jsz):
-                    if isz == m and jsz == n:
-                        continue
                     if isz == m or jsz == n:
                         # one full side forces the other side full too
                         continue

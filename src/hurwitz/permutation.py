@@ -105,11 +105,6 @@ def perm_to_cycle_string(p: Perm) -> str:
     return "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cs)
 
 
-def all_transpositions(d: int) -> list:
-    """All d(d-1)/2 transpositions, ordered by (i, j)."""
-    return [transposition(d, i, j) for i, j in itertools.combinations(range(d), 2)]
-
-
 def perms_of_type(d: int, target: Partition) -> list:
     """Every permutation of the given cycle type, in lexicographic order.
 
@@ -137,43 +132,6 @@ def canonical_perm_of_type(mu: Partition) -> Perm:
 
 # ---------------------------------------------------------------------------
 # cut-join
-
-
-@dataclass(frozen=True)
-class CutJoinEvent:
-    """Effect of one transposition: 'join' merges a k- and an l-cycle, 'cut'
-    splits a (k+l)-cycle into a k- and an l-cycle."""
-
-    kind: str  # 'cut' | 'join'
-    lengths: tuple  # (k, l), descending
-
-    def __post_init__(self):
-        if self.kind not in ("cut", "join"):
-            raise ValueError(f"bad cut-join kind {self.kind!r}")
-        if any(x < 1 for x in self.lengths):
-            raise ValueError("cycle lengths must be >= 1")
-
-
-def apply_transposition(sigma: Perm, tau: Perm):
-    """Return (tau . sigma, event): join if the two moved points lie in
-    distinct cycles of sigma, cut if in the same one."""
-    moved = [x for x, y in enumerate(tau) if x != y]
-    if len(moved) != 2:
-        raise ValueError("tau must be a transposition")
-    i, j = moved
-    cs = cycles(sigma)
-    ci = next(c for c in cs if i in c)
-    cj = next(c for c in cs if j in c)
-    product = compose(tau, sigma)
-    if ci is cj:
-        new_cycles = cycles(product)
-        parts = sorted(
-            (len(c) for c in new_cycles if set(c) <= set(ci)), reverse=True
-        )
-        event = CutJoinEvent("cut", tuple(parts))
-    else:
-        event = CutJoinEvent("join", tuple(sorted((len(ci), len(cj)), reverse=True)))
-    return product, event
 
 
 def cut_join_count(k: int, l: int, kind: str) -> int:
@@ -327,16 +285,6 @@ def sigma_chain(ms: MonodromySet) -> list:
     return chain
 
 
-def chain_events(ms: MonodromySet) -> list:
-    """The cut/join event of each step of the sigma chain."""
-    out = []
-    sigma = ms.sigma0.perm
-    for t in ms.taus:
-        sigma, event = apply_transposition(sigma, t)
-        out.append(event)
-    return out
-
-
 def is_transitive(perms, d: int) -> bool:
     """Orbit closure over the generators via union-find; no group enumeration."""
     parent = list(range(d))
@@ -366,7 +314,8 @@ def _tau_candidates(d: int):
 def _completions(sigma0: Perm, params: HurwitzParams):
     """All (tau_1..tau_r, sigma_r) completing a fixed sigma0, transitivity
     included.  DFS over tau_1..tau_{r-1}; the last step is found by targeted
-    cut-join instead of scanning all transpositions.
+    cut-join instead of scanning all transpositions.  At r = 0 the only
+    candidate is the empty chain, with sigma_r = sigma0.
     """
     d, r, n = params.d, params.r, params.n
     nu = params.nu
@@ -402,7 +351,8 @@ def _completions(sigma0: Perm, params: HurwitzParams):
                 dfs(nxt, chosen + [(i, j)], depth + 1)
 
     if r == 0:
-        raise ValueError("completions need r >= 1")
+        ends = cycle_type(sigma0).sorted_desc() == nu.sorted_desc()
+        return [((), sigma0)] if ends and is_transitive([sigma0], d) else []
     if feasible(num_cycles(sigma0), r):
         dfs(sigma0, [], 0)
     return results
@@ -411,20 +361,8 @@ def _completions(sigma0: Perm, params: HurwitzParams):
 def enumerate_monodromy_sets(params: HurwitzParams):
     """Yield every (mu, nu, g)-monodromy set exactly once, labelings included,
     in a deterministic order."""
-    d, r = params.d, params.r
     mu, nu = params.mu, params.nu
-    if r == 0:
-        for p in perms_of_type(d, mu):
-            q = inverse(p)
-            if cycle_type(q).sorted_desc() != nu.sorted_desc():
-                continue
-            if not is_transitive([p], d):
-                continue
-            for lab0 in admissible_labelings(p, mu):
-                for labinf in admissible_labelings(q, nu):
-                    yield MonodromySet(lab0, (), labinf, params)
-        return
-    for p in perms_of_type(d, mu):
+    for p in perms_of_type(params.d, mu):
         comps = _completions(p, params)
         for lab0 in admissible_labelings(p, mu):
             for taus, sigma_r in comps:
@@ -611,14 +549,9 @@ def monodromy_classes(params: HurwitzParams):
     mu, nu = params.mu, params.nu
     rep = canonical_perm_of_type(mu)
     lab0 = LabeledPermutation(rep, tuple(cycles(rep)))
-    if params.r == 0:
-        # only mu = nu = (d) survives
-        chains = [((), rep)] if count_monodromy_sets(params) else []
-    else:
-        chains = _completions(rep, params)
     seen = set()
     classes = []
-    for taus, sigma_r in chains:
+    for taus, sigma_r in _completions(rep, params):
         for labinf in admissible_labelings(inverse(sigma_r), nu):
             ms = MonodromySet(lab0, taus, labinf, params)
             aligned = _aligned(ms)

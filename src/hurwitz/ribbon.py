@@ -54,6 +54,15 @@ def _orbits(succ, n: int) -> list:
     return out
 
 
+def _face_index(orbits, n: int) -> list:
+    """Index of the orbit through each element, for orbits of 0..n-1."""
+    out = [0] * n
+    for i, f in enumerate(orbits):
+        for x in f:
+            out[x] = i
+    return out
+
+
 @dataclass(frozen=True)
 class CombinatorialMap:
     """Rotation system: vertices are rotation orbits, edges involution pairs,
@@ -77,24 +86,32 @@ class CombinatorialMap:
     def num_darts(self) -> int:
         return len(self.rotation)
 
-    def vertices(self) -> list:
-        return _orbits(lambda x: self.rotation[x], self.num_darts)
+    # The map is immutable, so its orbits and connectivity are worked out
+    # once.  The cached values live outside the dataclass fields, so equality
+    # and hashing are unchanged.
+    @cached_property
+    def vertex_orbits(self) -> tuple:
+        """Orbits of rotation, sorted by minimum dart."""
+        return tuple(_orbits(lambda x: self.rotation[x], self.num_darts))
 
-    # The map is immutable, so its faces are walked once.  The cached value
-    # lives outside the dataclass fields, so equality and hashing are
-    # unchanged.
     @cached_property
     def face_orbits(self) -> tuple:
         """Orbits of rotation . involution, sorted by minimum dart."""
         rot, inv = self.rotation, self.edge_involution
         return tuple(_orbits(lambda x: rot[inv[x]], self.num_darts))
 
+    @cached_property
+    def face_of_dart(self) -> tuple:
+        """face_of_dart[x] indexes the face through x in face_orbits."""
+        return tuple(_face_index(self.face_orbits, self.num_darts))
+
     def edges(self) -> list:
         """Edges as sorted dart pairs, in increasing order."""
         inv = self.edge_involution
         return [(x, inv[x]) for x in range(self.num_darts) if x < inv[x]]
 
-    def is_connected(self) -> bool:
+    @cached_property
+    def connected(self) -> bool:
         if self.num_darts == 0:
             return False
         seen = {0}
@@ -108,7 +125,7 @@ class CombinatorialMap:
         return len(seen) == self.num_darts
 
     def genus(self) -> int:
-        v = len(self.vertices())
+        v = len(self.vertex_orbits)
         e = self.num_darts // 2
         f = len(self.face_orbits)
         chi = v - e + f
@@ -140,9 +157,9 @@ class MNRRibbonGraph:
 
     def __post_init__(self):
         m = self.map
-        if not m.is_connected():
+        if not m.connected:
             raise ValueError("the map must be connected")
-        for v in m.vertices():
+        for v in m.vertex_orbits:
             if len(v) != 4:
                 raise ValueError("every vertex must be 4-valent")
             if len({self.vertex_label[x] for x in v}) != 1:
@@ -175,16 +192,10 @@ class MNRRibbonGraph:
             if self.face_color[face_of[x]] == self.face_color[face_of[y]]:
                 raise ValueError("map is not bicolored")
 
-    # Cached outside the dataclass fields, so equality and hashing are
-    # unchanged.
-    @cached_property
+    @property
     def face_of_dart(self) -> tuple:
         """face_of_dart[x] indexes the face through x in map.face_orbits."""
-        out = [0] * self.map.num_darts
-        for i, f in enumerate(self.map.face_orbits):
-            for x in f:
-                out[x] = i
-        return tuple(out)
+        return self.map.face_of_dart
 
     @property
     def r(self) -> int:
@@ -329,15 +340,6 @@ def _canonical_key(g: MNRRibbonGraph, weights=None):
     return best
 
 
-def edge_length(w: int, i: int, j: int, r: int) -> Fraction:
-    """Length of an edge of weight w from vertex i to vertex j, in units of
-    2*pi: w + (j - i)/r.  Positivity of a weighting is equivalent to every
-    edge having positive length."""
-    if not (1 <= i <= r and 1 <= j <= r):
-        raise ValueError("vertex labels must lie in 1..r")
-    return Fraction(w) + Fraction(j - i, r)
-
-
 # ---------------------------------------------------------------------------
 # general labeled maps and the medial construction
 
@@ -354,12 +356,12 @@ class LabeledMap:
 
     def __post_init__(self):
         m = self.map
-        if not m.is_connected():
+        if not m.connected:
             raise ValueError("the map must be connected")
-        for v in m.vertices():
+        for v in m.vertex_orbits:
             if len({self.vertex_label[x] for x in v}) != 1:
                 raise ValueError("vertex labels must be constant on vertices")
-        nv = len(m.vertices())
+        nv = len(m.vertex_orbits)
         if sorted(set(self.vertex_label)) != list(range(1, nv + 1)):
             raise ValueError("vertex labels must be a bijection onto 1..m")
         if sorted(self.face_label) != list(range(1, len(m.face_orbits) + 1)):
@@ -376,44 +378,20 @@ def medial_graph(gm: LabeledMap) -> MNRRibbonGraph:
     medial edge joins the midpoints of edge(a) and edge(rotation(a)).
     """
     base = gm.map
-    rot, inv = base.rotation, base.edge_involution
     edges = base.edges()
     # renumber input darts so edge labeled k+1 owns darts 2k, 2k+1
-    order = sorted(range(len(edges)), key=lambda i: gm.edge_label[i])
-    dart_id = {}
-    for new_e, old_i in enumerate(order):
-        x, y = edges[old_i]
-        dart_id[x] = 2 * new_e
-        dart_id[y] = 2 * new_e + 1
-    sigma = [0] * (2 * len(edges))
-    for x in range(base.num_darts):
-        sigma[dart_id[x]] = dart_id[rot[x]]
-    skeleton = _medial_from_sigma(tuple(sigma))
-
-    # label transport: the white face through in-dart 2y+1 is the boundary of
-    # the input vertex carrying y; the gray face through out-dart 2x is the
-    # input face whose orbit contains the partner dart of x.
-    old_of_new = {v: k for k, v in dart_id.items()}
-    white_of = {}
-    for c in _orbits(lambda x: sigma[x], len(sigma)):
-        lab = gm.vertex_label[old_of_new[c[0]]]
-        for x in c:
-            white_of[x] = lab
-    face_label_of_old = {}
-    for i, f in enumerate(base.face_orbits):
-        for x in f:
-            face_label_of_old[x] = gm.face_label[i]
-    colors = []
-    labels = []
-    for f in skeleton.face_orbits:
-        if f[0] % 2 == 1:  # in-darts: white
-            colors.append("white")
-            labels.append(white_of[(f[0] - 1) // 2])
-        else:
-            colors.append("gray")
-            labels.append(face_label_of_old[inv[old_of_new[f[0] // 2]]])
-    return MNRRibbonGraph(
-        skeleton, _medial_vertex_label(skeleton), tuple(colors), tuple(labels)
+    old = []  # the input dart behind each new dart
+    for i in sorted(range(len(edges)), key=lambda i: gm.edge_label[i]):
+        old.extend(edges[i])
+    new = {x: a for a, x in enumerate(old)}
+    # the white face through in-dart 2a+1 is the boundary of the input vertex
+    # carrying a; the gray face through out-dart 2a is the input face whose
+    # orbit contains the partner dart of a
+    inv = base.edge_involution
+    return _build_skeleton(
+        _medial_from_sigma(tuple(new[base.rotation[x]] for x in old)),
+        [gm.vertex_label[x] for x in old],
+        [gm.face_label[base.face_of_dart[inv[x]]] for x in old],
     )
 
 
@@ -501,11 +479,6 @@ def weight_polytope(g: MNRRibbonGraph, mu: Partition, nu: Partition) -> WeightPo
     return WeightPolytope(len(edges), tuple(rows), tuple(lower))
 
 
-def lattice_points(p: WeightPolytope) -> list:
-    """All integer solutions, in lexicographic order."""
-    return _solve_rows(p.num_edges, p.rows, p.lower)
-
-
 def _solve_rows(num_edges: int, rows, lower) -> list:
     """Bounded DFS over edge values in index order with per-row budgets."""
     row_of_edge = [[] for _ in range(num_edges)]
@@ -538,7 +511,7 @@ def _solve_rows(num_edges: int, rows, lower) -> list:
         for ri, c in row_of_edge[k]:
             future_lb[ri] -= c * lower[k]
             future_cnt[ri] -= 1
-        for val in range(lower[k], (hi if hi is not None else lower[k]) + 1):
+        for val in range(lower[k], hi + 1):
             ok = True
             for ri, c in row_of_edge[k]:
                 remaining[ri] -= c * val
@@ -575,14 +548,6 @@ class HurwitzRibbonGraph:
         p = weight_polytope(self.skeleton, self.params.mu, self.params.nu)
         if not p.contains(self.weights):
             raise ValueError("weights are not positive and (mu, nu)-balanced")
-
-    def edge_lengths(self) -> list:
-        r = self.skeleton.r
-        out = []
-        for w, e in zip(self.weights, self.skeleton.edges()):
-            i, j = self.skeleton.natural_orientation(e)
-            out.append(edge_length(w, i, j, r))
-        return out
 
     def canonical_key(self):
         return self.skeleton.canonical_key(self.weights)
@@ -766,14 +731,6 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
     return out
 
 
-def _face_index(faces_list, n):
-    out = [0] * n
-    for i, f in enumerate(faces_list):
-        for x in f:
-            out[x] = i
-    return out
-
-
 def _labeling_orbits(record, m: int, n: int):
     """Representative (white labeling, gray labeling) pairs under the swap
     stabilizer, with stabilizer orders.
@@ -809,24 +766,35 @@ def _labeling_orbits(record, m: int, n: int):
             yield vlab, glab, stab
 
 
-def _build_skeleton(record, vlab, glab) -> MNRRibbonGraph:
-    cmap = _medial_from_sigma(record["sigma"])
-    whites, grays = record["whites"], record["grays"]
-    nd = len(record["sigma"])
-    white_lab = _face_index(whites, nd)
-    gray_lab = _face_index(grays, nd)
+def _build_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbonGraph:
+    """The labeled skeleton on cmap = _medial_from_sigma(sigma): the face
+    through in-dart 2a+1 is white with label white_label[a], the face through
+    out-dart 2a gray with label gray_label[a]."""
     colors = []
     labels = []
     for f in cmap.face_orbits:
         if f[0] % 2 == 1:
             colors.append("white")
-            labels.append(vlab[white_lab[(f[0] - 1) // 2]])
+            labels.append(white_label[f[0] // 2])
         else:
             colors.append("gray")
-            labels.append(glab[gray_lab[f[0] // 2]])
+            labels.append(gray_label[f[0] // 2])
     return MNRRibbonGraph(
         cmap, _medial_vertex_label(cmap), tuple(colors), tuple(labels)
     )
+
+
+def _record_skeletons(record, labelings):
+    """Yield (labeled skeleton, extra) for each (vlab, glab, extra) of one
+    record, building the record's medial map once."""
+    cmap = _medial_from_sigma(record["sigma"])
+    nd = len(record["sigma"])
+    wi = _face_index(record["whites"], nd)
+    gi = _face_index(record["grays"], nd)
+    for vlab, glab, extra in labelings:
+        white = [vlab[i] for i in wi]
+        gray = [glab[j] for j in gi]
+        yield _build_skeleton(cmap, white, gray), extra
 
 
 def skeletons_valid(m: int, n: int, r: int) -> bool:
@@ -847,8 +815,7 @@ def enumerate_skeletons(m: int, n: int, r: int):
     if not skeletons_valid(m, n, r):
         return out
     for record in _base_map_classes(r, m, n):
-        for vlab, glab, stab in _labeling_orbits(record, m, n):
-            out.append((_build_skeleton(record, vlab, glab), stab))
+        out.extend(_record_skeletons(record, _labeling_orbits(record, m, n)))
     return out
 
 
@@ -877,7 +844,8 @@ def _class_lattice_points(record, vlab, glab, mu: Partition, nu: Partition):
 
 
 def _iter_weighted_classes(params: HurwitzParams):
-    """Yield (record, vlab, glab, skeleton_aut, lattice point orbits).
+    """Yield (record, labeled classes) for each record with a weighting: one
+    (vlab, glab, lattice point orbits) per labeled class that has one.
 
     Each orbit is (representative weight vector, stabilizer order) under the
     labeled skeleton's automorphisms acting on edge indices.
@@ -896,7 +864,8 @@ def _iter_weighted_classes(params: HurwitzParams):
         nd = len(record["sigma"])
         wi = _face_index(record["whites"], nd)
         gi = _face_index(record["grays"], nd)
-        for vlab, glab, aut in _labeling_orbits(record, m, n):
+        labeled = []
+        for vlab, glab, _ in _labeling_orbits(record, m, n):
             if any(mu[vlab[i] - 1] < w_need[i] for i in range(m)):
                 continue
             if any(nu[glab[j] - 1] < g_need[j] for j in range(n)):
@@ -919,7 +888,9 @@ def _iter_weighted_classes(params: HurwitzParams):
                 orbit = {tuple(w[t[x]] for x in range(nd)) for t in edge_perms}
                 seen |= orbit
                 orbits.append((w, len(edge_perms) // len(orbit)))
-            yield record, vlab, glab, len(edge_perms), orbits
+            labeled.append((vlab, glab, orbits))
+        if labeled:
+            yield record, labeled
 
 
 def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
@@ -927,9 +898,10 @@ def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
     if params.r == 0:
         raise RZero("the ribbon-graph count needs r >= 1")
     total = Fraction(0)
-    for _, _, _, _, orbits in _iter_weighted_classes(params):
-        for _, stab in orbits:
-            total += Fraction(1, stab)
+    for _, labeled in _iter_weighted_classes(params):
+        for _, _, orbits in labeled:
+            for _, stab in orbits:
+                total += Fraction(1, stab)
     return total
 
 
@@ -942,14 +914,14 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     if params.r == 0:
         raise RZero("the ribbon-graph count needs r >= 1")
     out = []
-    for record, vlab, glab, _, orbits in _iter_weighted_classes(params):
-        skeleton = _build_skeleton(record, vlab, glab)
-        # edge k of the skeleton is the medial edge {2x, 2 sigma(x)+1}: the
-        # even dart identifies the sigma-dart index x
-        sigma_index = [
-            (a if a % 2 == 0 else b) // 2 for a, b in skeleton.edges()
-        ]
-        for w, stab in orbits:
-            weights = tuple(w[x] for x in sigma_index)
-            out.append((HurwitzRibbonGraph(skeleton, weights, params), stab))
+    for record, labeled in _iter_weighted_classes(params):
+        for skeleton, orbits in _record_skeletons(record, labeled):
+            # edge k of the skeleton is the medial edge {2x, 2 sigma(x)+1}:
+            # the even dart identifies the sigma-dart index x
+            sigma_index = [
+                (a if a % 2 == 0 else b) // 2 for a, b in skeleton.edges()
+            ]
+            for w, stab in orbits:
+                weights = tuple(w[x] for x in sigma_index)
+                out.append((HurwitzRibbonGraph(skeleton, weights, params), stab))
     return out

@@ -79,65 +79,44 @@ def canonical_ticks(h: HurwitzRibbonGraph) -> TickAssignment:
     return TickAssignment(tuple(out))
 
 
-@dataclass(frozen=True)
-class TrafficState:
-    """Turn rules at step i: left at vertices labeled > i, right otherwise."""
+def step_circles(g: MNRRibbonGraph):
+    """(circles of every step walk, edge index of each natural dart); the
+    dict lists the natural darts in edge order.
 
-    step: int
-
-    def rule(self, vertex_label: int) -> str:
-        return "left" if vertex_label > self.step else "right"
-
-
-def walk_tables(g: MNRRibbonGraph):
-    """(rotation, inverse rotation, natural dart of each edge, edge index of
-    each natural dart): what the step walks of circles() look up."""
+    Step i = 0..r walks the natural darts: arriving at a vertex through dart
+    b it leaves along rotation^-1(b) (a left turn) when the vertex label
+    exceeds i, and along rotation(b) (a right turn) otherwise.  Entry i lists
+    that walk's orbits, each from its minimum dart, by increasing minimum.
+    """
     rot = g.map.rotation
+    invol = g.map.edge_involution
     inv_rot = [0] * len(rot)
     for x, y in enumerate(rot):
         inv_rot[y] = x
-    edges = g.edges()
-    nat = [g.natural_dart(e) for e in edges]
-    edge_of_nat = {x: k for k, x in enumerate(nat)}
-    return rot, inv_rot, nat, edge_of_nat
-
-
-def circles(g: MNRRibbonGraph, state: TrafficState, tables=None):
-    """Orbits of the step-i walk on natural darts, each from its minimum."""
-    rot, inv_rot, _nat, edge_of_nat = tables or walk_tables(g)
-    invol = g.map.edge_involution
-
-    def succ(x):
-        b = invol[x]
-        if state.rule(g.vertex_label[b]) == "left":
-            nxt = inv_rot[b]
-        else:
-            nxt = rot[b]
-        if nxt not in edge_of_nat:
-            raise NonterminatingTrace("walk left the natural dart set")
-        return nxt
-
-    seen = set()
-    out = []
-    for s in sorted(edge_of_nat):
-        if s in seen:
-            continue
-        orbit = [s]
-        seen.add(s)
-        x = succ(s)
-        while x != s:
-            orbit.append(x)
-            seen.add(x)
-            x = succ(x)
-        out.append(tuple(orbit))
-    return out
-
-
-def _circle_tick_cycles(circle, ticks: TickAssignment, edge_of_nat) -> tuple:
-    seq = []
-    for x in circle:
-        seq.extend(ticks.per_edge[edge_of_nat[x]])
-    return tuple(seq)
+    edge_of_nat = {g.natural_dart(e): k for k, e in enumerate(g.edges())}
+    nat = sorted(edge_of_nat)
+    steps = []
+    for i in range(g.r + 1):
+        succ = {}
+        for x in nat:
+            b = invol[x]
+            succ[x] = inv_rot[b] if g.vertex_label[b] > i else rot[b]
+            if succ[x] not in edge_of_nat:
+                raise NonterminatingTrace("walk left the natural dart set")
+        seen = set()
+        circles = []
+        for s in nat:
+            if s in seen:
+                continue
+            orbit = [s]
+            x = succ[s]
+            while x != s:
+                orbit.append(x)
+                x = succ[x]
+            seen.update(orbit)
+            circles.append(tuple(orbit))
+        steps.append(circles)
+    return steps, edge_of_nat
 
 
 def ribbon_to_chain(h: HurwitzRibbonGraph, ticks: TickAssignment) -> list:
@@ -155,40 +134,34 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     for w, ts in zip(h.weights, ticks.per_edge):
         if len(ts) != w:
             raise ValueError("tick counts must equal edge weights")
-    tables = walk_tables(g)
-    edge_of_nat = tables[3]
+    steps, edge_of_nat = step_circles(g)
     invol = g.map.edge_involution
     face_of = g.face_of_dart
 
+    def ticks_on(circle) -> list:
+        return [t for x in circle for t in ticks.per_edge[edge_of_nat[x]]]
+
     perms = []
-    circle_sets = []
-    for i in range(h.params.r + 1):
+    for i, circles in enumerate(steps):
         images = [None] * d
-        tick_cycles = []
-        for circle in circles(g, TrafficState(i), tables):
-            seq = _circle_tick_cycles(circle, ticks, edge_of_nat)
+        for circle in circles:
+            seq = ticks_on(circle)
             if not seq:
                 raise NonterminatingTrace(
                     f"step {i}: a circle carries no tick marks"
                 )
             for a, b in zip(seq, seq[1:] + seq[:1]):
                 images[a] = b
-            tick_cycles.append((circle, seq))
         perms.append(tuple(images))
-        circle_sets.append(tick_cycles)
 
-    # sigma_0 labels: circle hugging white face F <-> label of F
-    label_of_cycle0 = {}
-    for circle, seq in circle_sets[0]:
-        face = face_of[invol[circle[0]]]
-        label_of_cycle0[frozenset(seq)] = g.face_label[face]
-    sigma0 = _label_by_sets(perms[0], label_of_cycle0, h.params.m)
-
-    label_of_cycle_r = {}
-    for circle, seq in circle_sets[-1]:
-        face = face_of[circle[0]]
-        label_of_cycle_r[frozenset(seq)] = g.face_label[face]
-    sigma_inf = _label_by_sets(inverse(perms[-1]), label_of_cycle_r, h.params.n)
+    # sigma_0 labels: circle hugging white face F <-> label of F;
+    # sigma_inf labels: circle running along gray face F <-> label of F
+    whites = {
+        frozenset(ticks_on(c)): g.face_label[face_of[invol[c[0]]]] for c in steps[0]
+    }
+    sigma0 = _label_by_sets(perms[0], whites, h.params.m)
+    grays = {frozenset(ticks_on(c)): g.face_label[face_of[c[0]]] for c in steps[-1]}
+    sigma_inf = _label_by_sets(inverse(perms[-1]), grays, h.params.n)
 
     taus = []
     for prev, cur in zip(perms, perms[1:]):

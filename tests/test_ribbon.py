@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hurwitz.core import Infeasible, NonIntegerGenus, Partition, RZero, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
-from reference import rank
+from reference import edge_length, edge_lengths, lattice_points, rank
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def brute_force_skeletons(m, n, r):
             inv[a] = b
             inv[b] = a
         cmap = R.CombinatorialMap(rotation, tuple(inv))
-        if not cmap.is_connected():
+        if not cmap.connected:
             continue
         fs = cmap.face_orbits
         fidx = {}
@@ -398,15 +398,15 @@ def test_natural_orientation_flips_with_colors():
 
 
 def test_edge_length():
-    assert R.edge_length(1, 1, 2, 2) == Fraction(3, 2)
-    assert R.edge_length(0, 1, 2, 2) == Fraction(1, 2)
-    assert R.edge_length(0, 2, 1, 2) == Fraction(-1, 2)
+    assert edge_length(1, 1, 2, 2) == Fraction(3, 2)
+    assert edge_length(0, 1, 2, 2) == Fraction(1, 2)
+    assert edge_length(0, 2, 1, 2) == Fraction(-1, 2)
 
 
 def test_edge_lengths_positive_iff_weighting_valid():
     params = hurwitz_params(0, (2, 1), (2, 1))
     for hrg, _ in R.hurwitz_ribbon_classes(params):
-        assert all(l > 0 for l in hrg.edge_lengths())
+        assert all(l > 0 for l in edge_lengths(hrg))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def test_weight_polytope_unique_point_on_genus_one():
     (pair,) = R.enumerate_skeletons(1, 1, 2)
     skel, _ = pair
     poly = R.weight_polytope(skel, Partition((2,)), Partition((2,)))
-    pts = R.lattice_points(poly)
+    pts = lattice_points(poly)
     assert len(pts) == 1
     assert sorted(pts[0]) == [0, 0, 1, 1]
 
@@ -426,7 +426,7 @@ def test_weight_polytope_infeasible_empty():
     (pair,) = R.enumerate_skeletons(1, 1, 2)
     skel, _ = pair
     poly = R.weight_polytope(skel, Partition((1,)), Partition((1,)))
-    assert R.lattice_points(poly) == []
+    assert lattice_points(poly) == []
 
 
 def test_weight_polytope_scaling_monotone():
@@ -435,7 +435,7 @@ def test_weight_polytope_scaling_monotone():
     counts = []
     for t in range(1, 5):
         poly = R.weight_polytope(skel, Partition((2 * t,)), Partition((2 * t,)))
-        counts.append(len(R.lattice_points(poly)))
+        counts.append(len(lattice_points(poly)))
     assert counts == sorted(counts)
 
 
@@ -462,10 +462,11 @@ def test_lattice_points_lexicographic():
     params = hurwitz_params(0, (3, 2), (4, 1))
     for skel, _ in R.enumerate_skeletons(2, 2, 2)[:6]:
         poly = R.weight_polytope(skel, params.mu, params.nu)
-        pts = R.lattice_points(poly)
+        pts = lattice_points(poly)
         assert pts == sorted(pts)
         for w in pts:
             assert poly.contains(w)
+        assert R._solve_rows(poly.num_edges, poly.rows, poly.lower) == pts
 
 
 # ---------------------------------------------------------------------------

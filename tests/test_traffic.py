@@ -21,13 +21,6 @@ def test_tick_assignment_validation():
         T.TickAssignment(((1, 2),))
 
 
-def test_traffic_state_rule():
-    s = T.TrafficState(2)
-    assert s.rule(3) == "left"
-    assert s.rule(2) == "right"
-    assert T.TrafficState(0).rule(1) == "left"
-
-
 def test_chain_for_simple_cover():
     (hrg, _aut), = classes(0, (1, 1), (2,))
     chain = T.ribbon_to_chain(hrg, T.canonical_ticks(hrg))

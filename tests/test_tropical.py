@@ -8,6 +8,7 @@ from hurwitz import permutation as P
 from hurwitz import ribbon as R
 from hurwitz import tropical as TR
 from hurwitz.traffic import canonical_ticks
+from reference import chain_events
 
 
 def test_enumeration_small_counts():
@@ -203,7 +204,7 @@ def test_tropicalize_cut_join_sequence_matches_chain():
     params = hurwitz_params(0, (2, 2), (3, 1))
     for hrg, _ in R.hurwitz_ribbon_classes(params):
         ms = ribbon_to_monodromy(hrg, canonical_ticks(hrg))
-        events = P.chain_events(ms)
+        events = chain_events(ms)
         mg = TR.tropicalize(hrg)
         for i, ev in enumerate(events, start=1):
             out_deg = sum(1 for t, h in mg.graph.edges if t == ("v", i))
