@@ -20,7 +20,7 @@ import time
 from .core import (
     HurwitzError,
     Partition,
-    RZero,
+    check_graph_r,
     format_rational,
     hurwitz_params,
     sweep_params,
@@ -69,6 +69,10 @@ def cmd_compute(args) -> int:
     )
     try:
         params = _params_from(args)
+        # refuse before any count, so no method's work is thrown away
+        for name in wanted:
+            if name != "permutation":
+                check_graph_r(params.r, name)
         if "ribbon" in wanted:
             check_ribbon_r(params.r)
     except (HurwitzError, ValueError) as exc:
@@ -77,10 +81,7 @@ def cmd_compute(args) -> int:
     timings = {}
     for name in wanted:
         t0 = time.perf_counter()
-        try:
-            values[name] = METHODS[name](params)
-        except RZero as exc:
-            return _fail(str(exc))
+        values[name] = METHODS[name](params)
         timings[name] = round(1000.0 * (time.perf_counter() - t0), 3)
     agree = len(set(values.values())) == 1
     report = {

@@ -177,6 +177,16 @@ class HurwitzParams:
         }
 
 
+def check_graph_r(r: int, method: str) -> None:
+    """Raise RZero if a graph-based method is asked for r = 0, which only
+    the permutation method represents."""
+    if r == 0:
+        raise RZero(
+            f"the {method} method needs r >= 1; the permutation method "
+            "(compute --method permutation) answers r = 0"
+        )
+
+
 def hurwitz_params(g: int, mu, nu) -> HurwitzParams:
     """Build validated parameters; raises DegreeMismatch or NegativeR."""
     if not isinstance(mu, Partition):

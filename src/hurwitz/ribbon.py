@@ -31,8 +31,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import comb, factorial
+from operator import ge
 
-from .core import HurwitzParams, Infeasible, NonIntegerGenus, Partition, RZero
+from .core import HurwitzParams, Infeasible, NonIntegerGenus, Partition, check_graph_r
 
 
 def _orbits(succ, n: int) -> list:
@@ -893,16 +895,111 @@ def _iter_weighted_classes(params: HurwitzParams):
             yield record, labeled
 
 
+def _record_cells(record) -> list:
+    """The darts of one table record grouped by (white face i, gray face j),
+    as (i, j, number of darts, sum of their lower bounds) in (i, j) order."""
+    lower = record["lower"]
+    nd = len(lower)
+    wi = _face_index(record["whites"], nd)
+    gi = _face_index(record["grays"], nd)
+    sizes = {}
+    for x in range(nd):
+        k, l = sizes.get((wi[x], gi[x]), (0, 0))
+        sizes[wi[x], gi[x]] = (k + 1, l + lower[x])
+    return [(i, j, k, l) for (i, j), (k, l) in sorted(sizes.items())]
+
+
+def _cell_count(cells, a, b) -> int:
+    """Number of integer weightings w >= lower of one record's darts whose
+    white face i sums to a[i] and gray face j to b[j].
+
+    cells lists (i, j, k, l) for each nonempty cell: the k darts on white
+    face i and gray face j, whose lower bounds sum to l.  A cell with total x
+    splits it among its darts in C(x - l + k - 1, k - 1) ways, so the count
+    is the sum, over cell totals with row sums a and column sums b, of the
+    product of these binomials.  Cells come in (i, j) order, and the last
+    cell of a row or of a column takes whatever its row or column has left.
+    """
+    row = list(a)
+    col = list(b)
+    for i, j, _, l in cells:
+        row[i] -= l
+        col[j] -= l
+    if min(row) < 0 or min(col) < 0:
+        return 0
+    row_end = {i: c for c, (i, _, _, _) in enumerate(cells)}
+    col_end = {j: c for c, (_, j, _, _) in enumerate(cells)}
+
+    def rec(c):
+        if c == len(cells):
+            return 1
+        i, j, k, _ = cells[c]
+        ends_row, ends_col = c == row_end[i], c == col_end[j]
+        if ends_row or ends_col:
+            y = row[i] if ends_row else col[j]
+            if y > min(row[i], col[j]) or (ends_row and ends_col and row[i] != col[j]):
+                return 0
+            values = (y,)
+        else:
+            values = range(min(row[i], col[j]) + 1)
+        total = 0
+        for y in values:
+            row[i] -= y
+            col[j] -= y
+            sub = rec(c + 1)
+            if sub:
+                total += comb(y + k - 1, k - 1) * sub
+            row[i] += y
+            col[j] += y
+        return total
+
+    return rec(0)
+
+
+def _distinct_orderings(parts) -> list:
+    """Every distinct ordering of a multiset of parts."""
+    return sorted(set(itertools.permutations(parts)))
+
+
 def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
-    """Sum over isomorphism classes of weighted ribbon graphs of 1/|Aut|."""
-    if params.r == 0:
-        raise RZero("the ribbon-graph count needs r >= 1")
-    total = Fraction(0)
-    for _, labeled in _iter_weighted_classes(params):
-        for _, _, orbits in labeled:
-            for _, stab in orbits:
-                total += Fraction(1, stab)
-    return total
+    """Sum over isomorphism classes of weighted ribbon graphs of 1/|Aut|.
+
+    The swap stabilizer S of a table record acts on its (face labeling,
+    weighting) pairs, and the classes of the record are the orbits.  An
+    orbit O contributes 1/|stabilizer of a member| = |O|/|S|, so the record
+    contributes #pairs / |S|, and no orbit is listed.  A weighting depends on
+    a labeling only through the part values it puts on each face, and
+    prod(multiplicity of each value)! labelings of each side put the same
+    values there; so the count runs over the distinct orderings of mu on the
+    white faces and of nu on the gray faces, counting weightings per cell
+    (_cell_count).  Every |S| divides 2^r, so the sum stays an integer over
+    the common denominator 2^r.
+    """
+    check_graph_r(params.r, "ribbon")
+    m, n, r, d = params.m, params.n, params.r, params.d
+    labelings = 1
+    for parts in (params.mu.parts, params.nu.parts):
+        for value in set(parts):
+            labelings *= factorial(parts.count(value))
+    mu_orders = _distinct_orderings(params.mu.parts)
+    nu_orders = _distinct_orderings(params.nu.parts)
+    total = 0
+    for record in _base_map_classes(r, m, n):
+        lower = record["lower"]
+        if sum(lower) > d:
+            continue
+        w_need = [sum(lower[x] for x in c) for c in record["whites"]]
+        g_need = [sum(lower[x] for x in o) for o in record["grays"]]
+        white_orders = [a for a in mu_orders if all(map(ge, a, w_need))]
+        gray_orders = [b for b in nu_orders if all(map(ge, b, g_need))]
+        if not white_orders or not gray_orders:
+            continue
+        cells = _record_cells(record)
+        pairs = sum(
+            _cell_count(cells, a, b) for a in white_orders for b in gray_orders
+        )
+        total += pairs * ((1 << r) // len(record["stab"]))
+    return Fraction(total * labelings, 1 << r)
 
 
 def hurwitz_ribbon_classes(params: HurwitzParams):
@@ -911,8 +1008,7 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     The weight tuple of the built object is re-indexed from sigma darts to
     skeleton edge order.
     """
-    if params.r == 0:
-        raise RZero("the ribbon-graph count needs r >= 1")
+    check_graph_r(params.r, "ribbon")
     out = []
     for record, labeled in _iter_weighted_classes(params):
         for skeleton, orbits in _record_skeletons(record, labeled):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import HurwitzParams, InconsistentFiber, Partition, RZero
+from .core import HurwitzParams, InconsistentFiber, Partition, check_graph_r
 from .permutation import MonodromySet, cycles, sigma_chain
 from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph
 from .traffic import (
@@ -310,8 +310,7 @@ def flow_lattice_points(t: TropicalGraph, mu: Partition, nu: Partition) -> list:
 
 def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
     """Weighted sum of multiplicity/|Aut| over all monodromy graphs."""
-    if params.r == 0:
-        raise RZero("the tropical count needs r >= 1")
+    check_graph_r(params.r, "tropical")
     total = Fraction(0)
     for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
         interior = graph.interior_edge_indices()
@@ -326,8 +325,7 @@ def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
 def monodromy_graph_classes(params: HurwitzParams):
     """Isomorphism classes of monodromy graphs as (MonodromyGraph, aut_order)
     where aut_order is the stabilizer of the flow vector in Aut(graph)."""
-    if params.r == 0:
-        raise RZero("the tropical count needs r >= 1")
+    check_graph_r(params.r, "tropical")
     out = []
     for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
         classes = {}

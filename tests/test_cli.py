@@ -44,11 +44,18 @@ def test_compute_degree_mismatch_exits_one():
     assert "error" in err
 
 
-def test_compute_r_zero_graph_method_exits_one():
-    code, _, err = run_cli(
-        ["compute", "--genus", "0", "--mu", "5", "--nu", "5", "--method", "ribbon"]
-    )
-    assert code == 1
+def test_compute_r_zero_graph_method_exits_one(monkeypatch):
+    # r = 0: rejected before any count, naming the method that answers
+    def no_count(params):
+        raise AssertionError("counted before rejecting r = 0")
+
+    monkeypatch.setitem(cli.METHODS, "permutation", no_count)
+    for method in ("ribbon", "tropical", "all"):
+        code, out, err = run_cli(
+            ["compute", "--genus", "0", "--mu", "5", "--nu", "5", "--method", method]
+        )
+        assert code == 1 and out == ""
+        assert "--method permutation" in err
 
 
 def test_ribbon_beyond_max_r_exits_one():

@@ -3,10 +3,18 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hurwitz.core import Infeasible, NonIntegerGenus, Partition, RZero, hurwitz_params
+from conftest import all_params
+from hurwitz.core import (
+    Infeasible,
+    NonIntegerGenus,
+    Partition,
+    RZero,
+    descending_partitions,
+    hurwitz_params,
+)
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
 from reference import edge_length, edge_lengths, lattice_points, rank
@@ -502,6 +510,92 @@ def test_class_weights_reproduce_count():
     classes = R.hurwitz_ribbon_classes(params)
     total = sum(Fraction(1, aut) for _, aut in classes)
     assert total == Fraction(4)
+
+
+def test_count_equals_class_sum():
+    """The count sums over all labelings per cell; the listing path builds
+    one class per orbit with its automorphism order."""
+    cases = all_params(4, 5) + [hurwitz_params(1, (3, 2), (2, 2, 1))]
+    for params in cases:
+        classes = R.hurwitz_ribbon_classes(params)
+        assert R.count_hurwitz_ribbon(params) == sum(
+            Fraction(1, aut) for _, aut in classes
+        ), params
+    assert R.count_hurwitz_ribbon(cases[-1]) == 8160
+
+
+@st.composite
+def ribbon_hurwitz_data(draw):
+    """(g, mu, nu) with d <= 6 and 1 <= r <= 4, parts in arbitrary order."""
+    d = draw(st.integers(1, 6))
+    mu = draw(st.sampled_from([p for p in descending_partitions(d) if len(p) <= 5]))
+    nu = draw(
+        st.sampled_from(
+            [p for p in descending_partitions(d) if len(p) <= 6 - len(mu)]
+        )
+    )
+    base = len(mu) + len(nu) - 2
+    g = draw(st.sampled_from([g for g in range(3) if 1 <= 2 * g + base <= 4]))
+    return g, tuple(draw(st.permutations(mu))), tuple(draw(st.permutations(nu)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ribbon_hurwitz_data())
+@example((0, (1, 2), (1, 1, 1)))
+@example((1, (1, 2, 1), (2, 2)))
+@example((0, (1, 3, 1, 1), (2, 1, 3)))
+def test_count_invariant_under_part_order(data):
+    """Repeated parts enter through the multiplicity weight; a wrong weight
+    breaks agreement with the permutation count on such inputs."""
+    g, mu, nu = data
+    value = R.count_hurwitz_ribbon(hurwitz_params(g, mu, nu))
+    assert value == P.count_hurwitz_permutation(hurwitz_params(g, mu, nu))
+    ordered = hurwitz_params(g, sorted(mu, reverse=True), sorted(nu, reverse=True))
+    assert R.count_hurwitz_ribbon(ordered) == value
+
+
+def _dart_rows(record, a, b):
+    """The balancing rows of one record over its sigma darts, for white face
+    totals a and gray face totals b, as _solve_rows reads them."""
+    nd = len(record["sigma"])
+    rows = []
+    for faces, totals in ((record["whites"], a), (record["grays"], b)):
+        for face, total in zip(faces, totals):
+            rows.append((tuple(int(x in face) for x in range(nd)), total))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_cell_count_matches_lattice_solver(r):
+    """Every admissible ordering of every (mu, nu) of the bucket's lengths
+    with d up to max(m, n) + 2."""
+    checked = 0
+    for m, n in _buckets(r):
+        pairs = [
+            (mu, nu)
+            for d in range(max(m, n), max(m, n) + 3)
+            for mu in descending_partitions(d)
+            for nu in descending_partitions(d)
+            if len(mu) == m and len(nu) == n
+        ]
+        for record in R._base_map_classes(r, m, n):
+            lower = record["lower"]
+            cells = R._record_cells(record)
+            w_need = [sum(lower[x] for x in c) for c in record["whites"]]
+            g_need = [sum(lower[x] for x in o) for o in record["grays"]]
+            for mu, nu in pairs:
+                for a in R._distinct_orderings(mu):
+                    if any(x < y for x, y in zip(a, w_need)):
+                        continue
+                    for b in R._distinct_orderings(nu):
+                        if any(x < y for x, y in zip(b, g_need)):
+                            continue
+                        points = R._solve_rows(
+                            len(lower), _dart_rows(record, a, b), lower
+                        )
+                        assert R._cell_count(cells, a, b) == len(points)
+                        checked += 1
+    assert checked > 0
 
 
 def test_bicoloring_invariant():
