@@ -23,6 +23,13 @@ bicolored maps with (m white, n gray, r vertices) are exactly the medial
 graphs of ordinary maps with m labeled vertices, n labeled faces and r labeled
 edges, which are far cheaper to generate (one permutation on 2r darts).  The
 test suite cross-checks this against a direct brute force over involutions.
+
+The weighted ribbon graphs of one table record are the orbits of its (face
+labeling, weighting) pairs under its swap stabilizer.  Counting and listing
+both split the weightings per (white face, gray face) cell (_cell_totals):
+the count sums their numbers over orbit-stabilizer, and the listing spreads
+them over the darts (_cell_weightings) and keeps the first member of each
+orbit of one walk (_record_classes), which also lists the skeletons.
 """
 
 from __future__ import annotations
@@ -343,58 +350,7 @@ def _canonical_key(g: MNRRibbonGraph, weights=None):
 
 
 # ---------------------------------------------------------------------------
-# general labeled maps and the medial construction
-
-
-@dataclass(frozen=True)
-class LabeledMap:
-    """A connected map with labeled vertices (1..m), faces (1..n) and edges
-    (1..r); the input of the medial construction."""
-
-    map: CombinatorialMap
-    vertex_label: tuple  # per dart
-    face_label: tuple  # aligned with map.face_orbits
-    edge_label: tuple  # aligned with map.edges()
-
-    def __post_init__(self):
-        m = self.map
-        if not m.connected:
-            raise ValueError("the map must be connected")
-        for v in m.vertex_orbits:
-            if len({self.vertex_label[x] for x in v}) != 1:
-                raise ValueError("vertex labels must be constant on vertices")
-        nv = len(m.vertex_orbits)
-        if sorted(set(self.vertex_label)) != list(range(1, nv + 1)):
-            raise ValueError("vertex labels must be a bijection onto 1..m")
-        if sorted(self.face_label) != list(range(1, len(m.face_orbits) + 1)):
-            raise ValueError("face labels must be a bijection onto 1..n")
-        if sorted(self.edge_label) != list(range(1, len(m.edges()) + 1)):
-            raise ValueError("edge labels must be a bijection onto 1..r")
-
-
-def medial_graph(gm: LabeledMap) -> MNRRibbonGraph:
-    """The medial map: one 4-valent vertex per edge of the input, one edge per
-    corner, white faces from input vertices, gray faces from input faces.
-
-    Corner c_a sits between dart a and rotation(a) at their common vertex; its
-    medial edge joins the midpoints of edge(a) and edge(rotation(a)).
-    """
-    base = gm.map
-    edges = base.edges()
-    # renumber input darts so edge labeled k+1 owns darts 2k, 2k+1
-    old = []  # the input dart behind each new dart
-    for i in sorted(range(len(edges)), key=lambda i: gm.edge_label[i]):
-        old.extend(edges[i])
-    new = {x: a for a, x in enumerate(old)}
-    # the white face through in-dart 2a+1 is the boundary of the input vertex
-    # carrying a; the gray face through out-dart 2a is the input face whose
-    # orbit contains the partner dart of a
-    inv = base.edge_involution
-    return _build_skeleton(
-        _medial_from_sigma(tuple(new[base.rotation[x]] for x in old)),
-        [gm.vertex_label[x] for x in old],
-        [gm.face_label[base.face_of_dart[inv[x]]] for x in old],
-    )
+# the medial construction
 
 
 def _medial_vertex_label(cmap: CombinatorialMap) -> tuple:
@@ -481,58 +437,6 @@ def weight_polytope(g: MNRRibbonGraph, mu: Partition, nu: Partition) -> WeightPo
     return WeightPolytope(len(edges), tuple(rows), tuple(lower))
 
 
-def _solve_rows(num_edges: int, rows, lower) -> list:
-    """Bounded DFS over edge values in index order with per-row budgets."""
-    row_of_edge = [[] for _ in range(num_edges)]
-    for ri, (coeffs, rhs) in enumerate(rows):
-        for k, c in enumerate(coeffs):
-            if c:
-                row_of_edge[k].append((ri, c))
-    remaining = [rhs for _, rhs in rows]
-    # future demand per row: sum of lower bounds of unassigned edges
-    future_lb = [0] * len(rows)
-    future_cnt = [0] * len(rows)
-    for k in range(num_edges):
-        for ri, c in row_of_edge[k]:
-            future_lb[ri] += c * lower[k]
-            future_cnt[ri] += 1
-    out = []
-    w = [0] * num_edges
-
-    def rec(k: int):
-        if k == num_edges:
-            if all(v == 0 for v in remaining):
-                out.append(tuple(w))
-            return
-        hi = None
-        for ri, c in row_of_edge[k]:
-            cap = (remaining[ri] - (future_lb[ri] - c * lower[k])) // c
-            hi = cap if hi is None else min(hi, cap)
-        if hi is None:
-            hi = 0  # edge on no row: impossible for valid skeletons
-        for ri, c in row_of_edge[k]:
-            future_lb[ri] -= c * lower[k]
-            future_cnt[ri] -= 1
-        for val in range(lower[k], hi + 1):
-            ok = True
-            for ri, c in row_of_edge[k]:
-                remaining[ri] -= c * val
-                if remaining[ri] < 0 or (future_cnt[ri] == 0 and remaining[ri] != 0):
-                    ok = False
-            if ok:
-                w[k] = val
-                rec(k + 1)
-            for ri, c in row_of_edge[k]:
-                remaining[ri] += c * val
-        for ri, c in row_of_edge[k]:
-            future_lb[ri] += c * lower[k]
-            future_cnt[ri] += 1
-        w[k] = 0
-
-    rec(0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # weighted ribbon graphs
 
@@ -590,7 +494,9 @@ def check_ribbon_r(r: int) -> None:
     if r > MAX_RIBBON_R:
         raise Infeasible(
             f"the ribbon method needs r <= {MAX_RIBBON_R}, got r = {r}; "
-            "the permutation and tropical methods can answer"
+            "no method lists skeletons or ribbon classes there, but the "
+            "permutation and tropical methods count H (compute --method "
+            "permutation or --method tropical)"
         )
 
 
@@ -733,41 +639,6 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
     return out
 
 
-def _labeling_orbits(record, m: int, n: int):
-    """Representative (white labeling, gray labeling) pairs under the swap
-    stabilizer, with stabilizer orders.
-
-    A labeling is a tuple: entry i is the label of the i-th face in minimum-
-    dart order.
-    """
-    whites, grays = record["whites"], record["grays"]
-    nd = len(record["sigma"])
-    wi = _face_index(whites, nd)
-    gi = _face_index(grays, nd)
-    actions = []
-    for t in record["stab"]:
-        wperm = tuple(wi[t[f[0]]] for f in whites)
-        gperm = tuple(gi[t[f[0]]] for f in grays)
-        actions.append((wperm, gperm))
-    seen = set()
-    for vlab in itertools.permutations(range(1, m + 1)):
-        for glab in itertools.permutations(range(1, n + 1)):
-            if (vlab, glab) in seen:
-                continue
-            orbit = set()
-            for wperm, gperm in actions:
-                tv = [0] * m
-                tg = [0] * n
-                for i in range(m):
-                    tv[wperm[i]] = vlab[i]
-                for j in range(n):
-                    tg[gperm[j]] = glab[j]
-                orbit.add((tuple(tv), tuple(tg)))
-            seen |= orbit
-            stab = len(actions) // len(orbit)
-            yield vlab, glab, stab
-
-
 def _build_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbonGraph:
     """The labeled skeleton on cmap = _medial_from_sigma(sigma): the face
     through in-dart 2a+1 is white with label white_label[a], the face through
@@ -786,17 +657,51 @@ def _build_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbo
     )
 
 
-def _record_skeletons(record, labelings):
-    """Yield (labeled skeleton, extra) for each (vlab, glab, extra) of one
-    record, building the record's medial map once."""
-    cmap = _medial_from_sigma(record["sigma"])
-    nd = len(record["sigma"])
-    wi = _face_index(record["whites"], nd)
-    gi = _face_index(record["grays"], nd)
-    for vlab, glab, extra in labelings:
-        white = [vlab[i] for i in wi]
-        gray = [glab[j] for j in gi]
-        yield _build_skeleton(cmap, white, gray), extra
+def _record_classes(record, m: int, n: int, weightings):
+    """Yield (skeleton, weighting, aut) for each orbit of one table record's
+    (white labeling, gray labeling, weighting) triples under its swap
+    stabilizer.
+
+    A labeling is a tuple: entry i is the label of the i-th face in minimum-
+    dart order.  weightings(vlab, glab) lists the labeling's weightings, as
+    tuples over sigma darts in lexicographic order; the skeleton listing
+    passes one empty weighting.  A stabilizer element t sends face i to face
+    t(i) and dart x to t(x); every t is an involution, so pulling labels and
+    weights back along t is its action.  The walk runs over labelings in
+    lexicographic order, then over their weightings, so a triple is its
+    orbit's first member iff no image compares smaller, and aut counts the
+    elements that fix it.  Classes of one labeling share one skeleton.
+    """
+    sigma, whites, grays = record["sigma"], record["whites"], record["grays"]
+    nd = len(sigma)
+    wi = _face_index(whites, nd)
+    gi = _face_index(grays, nd)
+    actions = [
+        (tuple(wi[t[f[0]]] for f in whites), tuple(gi[t[f[0]]] for f in grays), t)
+        for t in record["stab"]
+    ]
+    cmap = None
+    for vlab in itertools.permutations(range(1, m + 1)):
+        for glab in itertools.permutations(range(1, n + 1)):
+            skeleton = None
+            for w in weightings(vlab, glab):
+                item = (vlab, glab, w)
+                images = [
+                    (
+                        tuple(vlab[i] for i in wperm),
+                        tuple(glab[j] for j in gperm),
+                        tuple(w[x] for x in t) if w else w,
+                    )
+                    for wperm, gperm, t in actions
+                ]
+                if min(images) < item:
+                    continue
+                if skeleton is None:
+                    cmap = cmap or _medial_from_sigma(sigma)
+                    skeleton = _build_skeleton(
+                        cmap, [vlab[i] for i in wi], [glab[j] for j in gi]
+                    )
+                yield skeleton, w, images.count(item)
 
 
 def skeletons_valid(m: int, n: int, r: int) -> bool:
@@ -817,148 +722,121 @@ def enumerate_skeletons(m: int, n: int, r: int):
     if not skeletons_valid(m, n, r):
         return out
     for record in _base_map_classes(r, m, n):
-        out.extend(_record_skeletons(record, _labeling_orbits(record, m, n)))
+        classes = _record_classes(record, m, n, lambda vlab, glab: ((),))
+        out.extend((skeleton, aut) for skeleton, _, aut in classes)
     return out
-
-
-def _dominated(needs, haves) -> bool:
-    """Can labels with budgets `haves` cover demands `needs` (both unordered)?"""
-    return all(
-        h >= d for h, d in zip(sorted(haves, reverse=True), sorted(needs, reverse=True))
-    )
-
-
-def _class_lattice_points(record, vlab, glab, mu: Partition, nu: Partition):
-    """Integer weightings of one labeled class, via the compact row system."""
-    nd = len(record["sigma"])
-    rows = []
-    for i, c in enumerate(record["whites"]):
-        coeffs = [0] * nd
-        for x in c:
-            coeffs[x] = 1
-        rows.append((tuple(coeffs), mu[vlab[i] - 1]))
-    for j, o in enumerate(record["grays"]):
-        coeffs = [0] * nd
-        for x in o:
-            coeffs[x] = 1
-        rows.append((tuple(coeffs), nu[glab[j] - 1]))
-    return _solve_rows(nd, tuple(rows), record["lower"])
-
-
-def _iter_weighted_classes(params: HurwitzParams):
-    """Yield (record, labeled classes) for each record with a weighting: one
-    (vlab, glab, lattice point orbits) per labeled class that has one.
-
-    Each orbit is (representative weight vector, stabilizer order) under the
-    labeled skeleton's automorphisms acting on edge indices.
-    """
-    m, n, r = params.m, params.n, params.r
-    mu, nu = params.mu, params.nu
-    d = params.d
-    for record in _base_map_classes(r, m, n):
-        lower = record["lower"]
-        if sum(lower) > d:
-            continue
-        w_need = [sum(lower[x] for x in c) for c in record["whites"]]
-        g_need = [sum(lower[x] for x in o) for o in record["grays"]]
-        if not _dominated(w_need, mu.parts) or not _dominated(g_need, nu.parts):
-            continue
-        nd = len(record["sigma"])
-        wi = _face_index(record["whites"], nd)
-        gi = _face_index(record["grays"], nd)
-        labeled = []
-        for vlab, glab, _ in _labeling_orbits(record, m, n):
-            if any(mu[vlab[i] - 1] < w_need[i] for i in range(m)):
-                continue
-            if any(nu[glab[j] - 1] < g_need[j] for j in range(n)):
-                continue
-            points = _class_lattice_points(record, vlab, glab, mu, nu)
-            if not points:
-                continue
-            # label-preserving automorphisms act on edges (= darts of sigma)
-            edge_perms = [
-                t
-                for t in record["stab"]
-                if all(vlab[wi[t[f[0]]]] == vlab[i] for i, f in enumerate(record["whites"]))
-                and all(glab[gi[t[o[0]]]] == glab[j] for j, o in enumerate(record["grays"]))
-            ]
-            orbits = []
-            seen = set()
-            for w in points:
-                if w in seen:
-                    continue
-                orbit = {tuple(w[t[x]] for x in range(nd)) for t in edge_perms}
-                seen |= orbit
-                orbits.append((w, len(edge_perms) // len(orbit)))
-            labeled.append((vlab, glab, orbits))
-        if labeled:
-            yield record, labeled
 
 
 def _record_cells(record) -> list:
     """The darts of one table record grouped by (white face i, gray face j),
-    as (i, j, number of darts, sum of their lower bounds) in (i, j) order."""
+    as (i, j, number of darts, sum of their lower bounds, darts) in (i, j)
+    order."""
     lower = record["lower"]
     nd = len(lower)
     wi = _face_index(record["whites"], nd)
     gi = _face_index(record["grays"], nd)
-    sizes = {}
+    darts = {}
     for x in range(nd):
-        k, l = sizes.get((wi[x], gi[x]), (0, 0))
-        sizes[wi[x], gi[x]] = (k + 1, l + lower[x])
-    return [(i, j, k, l) for (i, j), (k, l) in sorted(sizes.items())]
+        darts.setdefault((wi[x], gi[x]), []).append(x)
+    return [
+        (i, j, len(xs), sum(lower[x] for x in xs), tuple(xs))
+        for (i, j), xs in sorted(darts.items())
+    ]
 
 
-def _cell_count(cells, a, b) -> int:
-    """Number of integer weightings w >= lower of one record's darts whose
-    white face i sums to a[i] and gray face j to b[j].
+def _cell_totals(cells, a, b) -> list:
+    """The integer weightings w >= lower of one record's darts whose white
+    face i sums to a[i] and gray face j to b[j], grouped by cell totals: one
+    (per-cell excess over the lower bounds, number of weightings) per group.
 
-    cells lists (i, j, k, l) for each nonempty cell: the k darts on white
-    face i and gray face j, whose lower bounds sum to l.  A cell with total x
-    splits it among its darts in C(x - l + k - 1, k - 1) ways, so the count
-    is the sum, over cell totals with row sums a and column sums b, of the
-    product of these binomials.  Cells come in (i, j) order, and the last
-    cell of a row or of a column takes whatever its row or column has left.
+    cells lists (i, j, k, l, darts) for each nonempty cell: the k darts on
+    white face i and gray face j, whose lower bounds sum to l.  A cell with
+    excess y splits it among its darts in C(y + k - 1, k - 1) ways, so a
+    group holds the product of these binomials.  Cells come in (i, j) order,
+    and the last cell of a row or of a column takes whatever its row or
+    column has left.
     """
     row = list(a)
     col = list(b)
-    for i, j, _, l in cells:
+    for i, j, _, l, _ in cells:
         row[i] -= l
         col[j] -= l
     if min(row) < 0 or min(col) < 0:
-        return 0
-    row_end = {i: c for c, (i, _, _, _) in enumerate(cells)}
-    col_end = {j: c for c, (_, j, _, _) in enumerate(cells)}
+        return []
+    row_end = {i: c for c, (i, *_) in enumerate(cells)}
+    col_end = {j: c for c, (_, j, *_) in enumerate(cells)}
+    excess = [0] * len(cells)
+    out = []
 
-    def rec(c):
+    def rec(c, number):
         if c == len(cells):
-            return 1
-        i, j, k, _ = cells[c]
+            out.append((tuple(excess), number))
+            return
+        i, j, k, _, _ = cells[c]
         ends_row, ends_col = c == row_end[i], c == col_end[j]
         if ends_row or ends_col:
             y = row[i] if ends_row else col[j]
             if y > min(row[i], col[j]) or (ends_row and ends_col and row[i] != col[j]):
-                return 0
+                return
             values = (y,)
         else:
             values = range(min(row[i], col[j]) + 1)
-        total = 0
         for y in values:
             row[i] -= y
             col[j] -= y
-            sub = rec(c + 1)
-            if sub:
-                total += comb(y + k - 1, k - 1) * sub
+            excess[c] = y
+            rec(c + 1, number * comb(y + k - 1, k - 1))
             row[i] += y
             col[j] += y
-        return total
 
-    return rec(0)
+    rec(0, 1)
+    return out
+
+
+def _cell_weightings(cells, lower, a, b) -> list:
+    """The weightings that _cell_totals counts, as tuples over the darts in
+    lexicographic order: each group spreads every cell's excess over the
+    cell's darts by stars and bars."""
+    out = []
+    for excess, _ in _cell_totals(cells, a, b):
+        spreads = []
+        for y, (_, _, k, _, _) in zip(excess, cells):
+            # k - 1 bars among y + k - 1 slots cut y into k parts
+            spreads.append([])
+            for bars in itertools.combinations(range(y + k - 1), k - 1):
+                ends = (-1,) + bars + (y + k - 1,)
+                spreads[-1].append([e - s - 1 for s, e in zip(ends, ends[1:])])
+        for parts in itertools.product(*spreads):
+            w = list(lower)
+            for (_, _, _, _, darts), extra in zip(cells, parts):
+                for x, p in zip(darts, extra):
+                    w[x] += p
+            out.append(tuple(w))
+    return sorted(out)
 
 
 def _distinct_orderings(parts) -> list:
     """Every distinct ordering of a multiset of parts."""
     return sorted(set(itertools.permutations(parts)))
+
+
+def _weighted_records(params: HurwitzParams):
+    """Yield (record, cells, white orderings, gray orderings) for each table
+    record that some ordering of mu on its white faces and of nu on its gray
+    faces may weight: every part must cover its face's need, the sum of the
+    lower bounds on the face."""
+    mu_orders = _distinct_orderings(params.mu.parts)
+    nu_orders = _distinct_orderings(params.nu.parts)
+    for record in _base_map_classes(params.r, params.m, params.n):
+        lower = record["lower"]
+        if sum(lower) > params.d:
+            continue
+        w_need = [sum(lower[x] for x in c) for c in record["whites"]]
+        g_need = [sum(lower[x] for x in o) for o in record["grays"]]
+        white_orders = [a for a in mu_orders if all(map(ge, a, w_need))]
+        gray_orders = [b for b in nu_orders if all(map(ge, b, g_need))]
+        if white_orders and gray_orders:
+            yield record, _record_cells(record), white_orders, gray_orders
 
 
 def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
@@ -972,31 +850,22 @@ def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
     prod(multiplicity of each value)! labelings of each side put the same
     values there; so the count runs over the distinct orderings of mu on the
     white faces and of nu on the gray faces, counting weightings per cell
-    (_cell_count).  Every |S| divides 2^r, so the sum stays an integer over
+    (_cell_totals).  Every |S| divides 2^r, so the sum stays an integer over
     the common denominator 2^r.
     """
     check_graph_r(params.r, "ribbon")
-    m, n, r, d = params.m, params.n, params.r, params.d
+    r = params.r
     labelings = 1
     for parts in (params.mu.parts, params.nu.parts):
         for value in set(parts):
             labelings *= factorial(parts.count(value))
-    mu_orders = _distinct_orderings(params.mu.parts)
-    nu_orders = _distinct_orderings(params.nu.parts)
     total = 0
-    for record in _base_map_classes(r, m, n):
-        lower = record["lower"]
-        if sum(lower) > d:
-            continue
-        w_need = [sum(lower[x] for x in c) for c in record["whites"]]
-        g_need = [sum(lower[x] for x in o) for o in record["grays"]]
-        white_orders = [a for a in mu_orders if all(map(ge, a, w_need))]
-        gray_orders = [b for b in nu_orders if all(map(ge, b, g_need))]
-        if not white_orders or not gray_orders:
-            continue
-        cells = _record_cells(record)
+    for record, cells, white_orders, gray_orders in _weighted_records(params):
         pairs = sum(
-            _cell_count(cells, a, b) for a in white_orders for b in gray_orders
+            number
+            for a in white_orders
+            for b in gray_orders
+            for _, number in _cell_totals(cells, a, b)
         )
         total += pairs * ((1 << r) // len(record["stab"]))
     return Fraction(total * labelings, 1 << r)
@@ -1009,15 +878,26 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     skeleton edge order.
     """
     check_graph_r(params.r, "ribbon")
+    mu, nu = params.mu, params.nu
     out = []
-    for record, labeled in _iter_weighted_classes(params):
-        for skeleton, orbits in _record_skeletons(record, labeled):
-            # edge k of the skeleton is the medial edge {2x, 2 sigma(x)+1}:
-            # the even dart identifies the sigma-dart index x
-            sigma_index = [
-                (a if a % 2 == 0 else b) // 2 for a, b in skeleton.edges()
-            ]
-            for w, stab in orbits:
-                weights = tuple(w[x] for x in sigma_index)
-                out.append((HurwitzRibbonGraph(skeleton, weights, params), stab))
+    for record, cells, white_orders, gray_orders in _weighted_records(params):
+        white_ok, gray_ok = set(white_orders), set(gray_orders)
+        cache = {}
+
+        def weightings(vlab, glab):
+            a = tuple(mu[v - 1] for v in vlab)
+            b = tuple(nu[v - 1] for v in glab)
+            if a not in white_ok or b not in gray_ok:
+                return ()
+            if (a, b) not in cache:
+                cache[a, b] = _cell_weightings(cells, record["lower"], a, b)
+            return cache[a, b]
+
+        # skeleton edge k is the medial edge {2x, 2 sigma(x)+1} with the k-th
+        # smallest least dart; its even dart names the sigma dart x
+        sigma = record["sigma"]
+        index = sorted(range(len(sigma)), key=lambda x: min(2 * x, 2 * sigma[x] + 1))
+        for skeleton, w, aut in _record_classes(record, params.m, params.n, weightings):
+            weights = tuple(w[x] for x in index)
+            out.append((HurwitzRibbonGraph(skeleton, weights, params), aut))
     return out

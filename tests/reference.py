@@ -13,6 +13,14 @@ the incremental elimination in ``chambers.eliminate``.
 Cut-join events (``apply_transposition``, ``chain_events``), edge lengths
 and the lattice points of a weight polytope are worked out here directly,
 for tests that check the library's counts and polytopes against them.
+
+Weightings: the library lists a table record's weightings per (white face,
+gray face) cell (``ribbon._cell_weightings``); ``solve_rows`` lists them by a
+depth-first search over single darts, and ``lattice_points`` by a box scan.
+
+Medial construction: ``medial_graph`` builds the 4-valent map of a map with
+labeled vertices, faces and edges (``LabeledMap``) through the same routines
+the skeleton tables use.
 """
 
 import itertools
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from hurwitz import permutation as P
+from hurwitz import ribbon as R
 
 
 def conjugate(p, g):
@@ -162,3 +171,108 @@ def lattice_points(poly) -> list:
     top = max(rhs for _, rhs in poly.rows)
     box = [range(lo, top + 1) for lo in poly.lower]
     return [w for w in itertools.product(*box) if poly.contains(w)]
+
+
+def solve_rows(num_edges: int, rows, lower) -> list:
+    """Every integer w >= lower with the given row sums, in lexicographic
+    order: a bounded DFS over edge values in index order with per-row
+    budgets."""
+    row_of_edge = [[] for _ in range(num_edges)]
+    for ri, (coeffs, rhs) in enumerate(rows):
+        for k, c in enumerate(coeffs):
+            if c:
+                row_of_edge[k].append((ri, c))
+    remaining = [rhs for _, rhs in rows]
+    # future demand per row: sum of lower bounds of unassigned edges
+    future_lb = [0] * len(rows)
+    future_cnt = [0] * len(rows)
+    for k in range(num_edges):
+        for ri, c in row_of_edge[k]:
+            future_lb[ri] += c * lower[k]
+            future_cnt[ri] += 1
+    out = []
+    w = [0] * num_edges
+
+    def rec(k: int):
+        if k == num_edges:
+            if all(v == 0 for v in remaining):
+                out.append(tuple(w))
+            return
+        hi = None
+        for ri, c in row_of_edge[k]:
+            cap = (remaining[ri] - (future_lb[ri] - c * lower[k])) // c
+            hi = cap if hi is None else min(hi, cap)
+        if hi is None:
+            hi = 0  # edge on no row: impossible for valid skeletons
+        for ri, c in row_of_edge[k]:
+            future_lb[ri] -= c * lower[k]
+            future_cnt[ri] -= 1
+        for val in range(lower[k], hi + 1):
+            ok = True
+            for ri, c in row_of_edge[k]:
+                remaining[ri] -= c * val
+                if remaining[ri] < 0 or (future_cnt[ri] == 0 and remaining[ri] != 0):
+                    ok = False
+            if ok:
+                w[k] = val
+                rec(k + 1)
+            for ri, c in row_of_edge[k]:
+                remaining[ri] += c * val
+        for ri, c in row_of_edge[k]:
+            future_lb[ri] += c * lower[k]
+            future_cnt[ri] += 1
+        w[k] = 0
+
+    rec(0)
+    return out
+
+
+@dataclass(frozen=True)
+class LabeledMap:
+    """A connected map with labeled vertices (1..m), faces (1..n) and edges
+    (1..r); the input of the medial construction."""
+
+    map: R.CombinatorialMap
+    vertex_label: tuple  # per dart
+    face_label: tuple  # aligned with map.face_orbits
+    edge_label: tuple  # aligned with map.edges()
+
+    def __post_init__(self):
+        m = self.map
+        if not m.connected:
+            raise ValueError("the map must be connected")
+        for v in m.vertex_orbits:
+            if len({self.vertex_label[x] for x in v}) != 1:
+                raise ValueError("vertex labels must be constant on vertices")
+        nv = len(m.vertex_orbits)
+        if sorted(set(self.vertex_label)) != list(range(1, nv + 1)):
+            raise ValueError("vertex labels must be a bijection onto 1..m")
+        if sorted(self.face_label) != list(range(1, len(m.face_orbits) + 1)):
+            raise ValueError("face labels must be a bijection onto 1..n")
+        if sorted(self.edge_label) != list(range(1, len(m.edges()) + 1)):
+            raise ValueError("edge labels must be a bijection onto 1..r")
+
+
+def medial_graph(gm: LabeledMap) -> R.MNRRibbonGraph:
+    """The medial map: one 4-valent vertex per edge of the input, one edge per
+    corner, white faces from input vertices, gray faces from input faces.
+
+    Corner c_a sits between dart a and rotation(a) at their common vertex; its
+    medial edge joins the midpoints of edge(a) and edge(rotation(a)).
+    """
+    base = gm.map
+    edges = base.edges()
+    # renumber input darts so edge labeled k+1 owns darts 2k, 2k+1
+    old = []  # the input dart behind each new dart
+    for i in sorted(range(len(edges)), key=lambda i: gm.edge_label[i]):
+        old.extend(edges[i])
+    new = {x: a for a, x in enumerate(old)}
+    # the white face through in-dart 2a+1 is the boundary of the input vertex
+    # carrying a; the gray face through out-dart 2a is the input face whose
+    # orbit contains the partner dart of a
+    inv = base.edge_involution
+    return R._build_skeleton(
+        R._medial_from_sigma(tuple(new[base.rotation[x]] for x in old)),
+        [gm.vertex_label[x] for x in old],
+        [gm.face_label[base.face_of_dart[inv[x]]] for x in old],
+    )

@@ -59,11 +59,14 @@ def test_compute_r_zero_graph_method_exits_one(monkeypatch):
 
 
 def test_ribbon_beyond_max_r_exits_one():
-    # r = 6: rejected before any table or permutation work
+    # r = 6: rejected before any table or permutation work; the listings
+    # are refused too, and the message stays true for them
     for argv in (
         ["compute", "--genus", "2", "--mu", "4,2", "--nu", "3,3", "--method", "ribbon"],
         ["compute", "--genus", "2", "--mu", "4,2", "--nu", "3,3", "--method", "all"],
         ["verify", "--max-d", "2", "--max-r", "6"],
+        ["enumerate", "--kind", "skeletons", "--m", "2", "--n", "2", "--r", "6"],
+        ["roundtrip", "--genus", "2", "--mu", "4,2", "--nu", "3,3"],
     ):
         code, out, err = run_cli(argv)
         assert code == 1 and out == ""

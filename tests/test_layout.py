@@ -41,3 +41,31 @@ def test_permutation_and_ribbon_import_only_core():
                 if module.split(".")[0] == "hurwitz" and module != "hurwitz.core"
             ]
     assert offenders == []
+
+
+def test_private_helpers_have_a_library_caller():
+    """A module-level private function or class is used somewhere in the
+    package outside its own definition; a helper only tests call belongs in
+    tests/reference.py."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    uses = {}  # name -> ids of the nodes that use it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    offenders = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or not node.name.startswith("_"):
+                continue
+            inside = {id(sub) for sub in ast.walk(node)}
+            if not uses.get(node.name, set()) - inside:
+                offenders.append(f"{name}:{node.lineno} {node.name}")
+    assert offenders == []

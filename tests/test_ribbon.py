@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,15 @@ from hurwitz.core import (
 )
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
-from reference import edge_length, edge_lengths, lattice_points, rank
+from reference import (
+    LabeledMap,
+    edge_length,
+    edge_lengths,
+    lattice_points,
+    medial_graph,
+    rank,
+    solve_rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +484,7 @@ def test_lattice_points_lexicographic():
         assert pts == sorted(pts)
         for w in pts:
             assert poly.contains(w)
-        assert R._solve_rows(poly.num_edges, poly.rows, poly.lower) == pts
+        assert solve_rows(poly.num_edges, poly.rows, poly.lower) == pts
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +566,7 @@ def test_count_invariant_under_part_order(data):
 
 def _dart_rows(record, a, b):
     """The balancing rows of one record over its sigma darts, for white face
-    totals a and gray face totals b, as _solve_rows reads them."""
+    totals a and gray face totals b, as solve_rows reads them."""
     nd = len(record["sigma"])
     rows = []
     for faces, totals in ((record["whites"], a), (record["grays"], b)):
@@ -567,8 +577,9 @@ def _dart_rows(record, a, b):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_cell_count_matches_lattice_solver(r):
-    """Every admissible ordering of every (mu, nu) of the bucket's lengths
-    with d up to max(m, n) + 2."""
+    """The per-cell weightings, listed and counted, against the per-dart
+    search, for every admissible ordering of every (mu, nu) of the bucket's
+    lengths with d up to max(m, n) + 2."""
     checked = 0
     for m, n in _buckets(r):
         pairs = [
@@ -590,12 +601,68 @@ def test_cell_count_matches_lattice_solver(r):
                     for b in R._distinct_orderings(nu):
                         if any(x < y for x, y in zip(b, g_need)):
                             continue
-                        points = R._solve_rows(
+                        points = solve_rows(
                             len(lower), _dart_rows(record, a, b), lower
                         )
-                        assert R._cell_count(cells, a, b) == len(points)
+                        listed = R._cell_weightings(cells, lower, a, b)
+                        counted = sum(n for _, n in R._cell_totals(cells, a, b))
+                        assert counted == len(listed)
+                        assert listed == points
                         checked += 1
     assert checked > 0
+
+
+def _digest(items) -> str:
+    lines = "".join(json.dumps([x.serialize(), aut]) + "\n" for x, aut in items)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "listing,size,digest",
+    [
+        (
+            lambda: R.hurwitz_ribbon_classes(hurwitz_params(0, (2, 2, 1), (3, 1, 1))),
+            1152,
+            "01705d765ece0ae022b19c864b60ecf0b887fdf3c116cbe5c215c1b281b296aa",
+        ),
+        (
+            lambda: R.hurwitz_ribbon_classes(hurwitz_params(1, (3, 2), (2, 2, 1))),
+            8160,
+            "acd7cb4802fbccfd113b26665f60aaa2d32d1361476433e40c612586e737c2e2",
+        ),
+        (
+            lambda: R.enumerate_skeletons(2, 2, 4),
+            2004,
+            "ae3e6e3d7f80c99334f93501b1f9bbe97d746698808628d302dec99c966ce49f",
+        ),
+        # the three above have aut = 1 throughout; these two have aut = 2
+        # on 8 of 168 classes and on 6 of 66 skeletons
+        (
+            lambda: R.hurwitz_ribbon_classes(hurwitz_params(2, (4,), (4,))),
+            168,
+            "79f2ce19c2ef53f18cfaa6ea3cc7c761110c0004124c4a0c29749e39cd46655b",
+        ),
+        (
+            lambda: R.enumerate_skeletons(1, 1, 4),
+            66,
+            "f785b86ee645ed52bf170d386dec648a5228afb8a4abcb01386641295563f8fa",
+        ),
+    ],
+    ids=[
+        "classes-0-221-311",
+        "classes-1-32-221",
+        "skeletons-2-2-4",
+        "classes-2-4-4",
+        "skeletons-1-1-4",
+    ],
+)
+def test_listing_output_pinned(listing, size, digest):
+    """Representatives, order and automorphism orders of five listings, as
+    sha256 of their JSON lines [serialized object, aut], taken before the
+    listing shared the count's cell recursion."""
+    items = listing()
+    assert len(items) == size
+    assert _digest(items) == digest
 
 
 def test_bicoloring_invariant():
@@ -625,13 +692,13 @@ def _cycle_map(k):
 def test_medial_of_cycle(k):
     cm = _cycle_map(k)
     vl = tuple(x // 2 + 1 for x in range(2 * k))
-    lm = R.LabeledMap(
+    lm = LabeledMap(
         cm,
         vl,
         tuple(range(1, len(cm.face_orbits) + 1)),
         tuple(range(1, len(cm.edges()) + 1)),
     )
-    med = R.medial_graph(lm)
+    med = medial_graph(lm)
     assert med.r == k
     assert len(med.edges()) == 2 * k
     assert med.genus() == 0
@@ -640,14 +707,14 @@ def test_medial_of_cycle(k):
 def test_medial_vertex_count_is_edge_count():
     cm = _cycle_map(4)
     vl = tuple(x // 2 + 1 for x in range(8))
-    lm = R.LabeledMap(cm, vl, (1, 2), tuple(range(1, 5)))
-    assert R.medial_graph(lm).r == len(cm.edges())
+    lm = LabeledMap(cm, vl, (1, 2), tuple(range(1, 5)))
+    assert medial_graph(lm).r == len(cm.edges())
 
 
 def test_medial_of_single_loop():
     cm = R.CombinatorialMap((1, 0), (1, 0))
-    lm = R.LabeledMap(cm, (1, 1), (1, 2), (1,))
-    med = R.medial_graph(lm)
+    lm = LabeledMap(cm, (1, 1), (1, 2), (1,))
+    med = medial_graph(lm)
     assert (med.num_white, med.num_gray, med.r) == (1, 2, 1)
     assert med.genus() == 0
 
@@ -657,8 +724,8 @@ def test_medial_balancing_labels_consistent():
     # labeled k must touch exactly the medial vertices of edges at vertex k
     cm = _cycle_map(3)
     vl = tuple(x // 2 + 1 for x in range(6))
-    lm = R.LabeledMap(cm, vl, (1, 2), (1, 2, 3))
-    med = R.medial_graph(lm)
+    lm = LabeledMap(cm, vl, (1, 2), (1, 2, 3))
+    med = medial_graph(lm)
     for lab, orbit in med.white_faces():
         touched = {med.vertex_label[x] for x in orbit}
         incident_edges = {
