@@ -119,9 +119,10 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         try:
-            return cls(int(p) for p in text.split(","))
+            parts = [int(p) for p in text.split(",")]
         except ValueError as exc:
             raise ValueError(f"cannot parse partition from {text!r}") from exc
+        return cls(parts)
 
 
 def format_rational(q: Fraction) -> str:

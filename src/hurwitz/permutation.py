@@ -14,6 +14,10 @@ means "apply b, then a".  The product convention in clause 3 is one of the two
 self-consistent readings; the count is independent of the choice (tested), and
 this one makes sigma_i = tau_i ... tau_1 sigma_0 a chain whose successive
 quotients are single transpositions.
+
+The count and the listing both fix one sigma_0 and grow the chain one
+transposition at a time; the count sums over orbit states, the listing walks
+the transpositions.  Both drop a partial chain by one rule, _feasible.
 """
 
 from __future__ import annotations
@@ -149,42 +153,6 @@ def cut_join_count(k: int, l: int, kind: str) -> int:
     raise ValueError(f"bad cut-join kind {kind!r}")
 
 
-def transpositions_realizing(sigma: Perm, target: Partition) -> list:
-    """All transpositions tau with cycle_type(tau . sigma) == target (as a
-    multiset), found by cut-join analysis rather than scanning all of S_d.
-
-    Returned as (i, j) pairs with i < j, sorted.
-    """
-    cs = cycles(sigma)
-    lam = Counter(len(c) for c in cs)
-    want = Counter(target.sorted_desc())
-    out = set()
-    if sum(want.values()) == len(cs) - 1:
-        for ca, cb in itertools.combinations(cs, 2):
-            t = lam.copy()
-            t[len(ca)] -= 1
-            t[len(cb)] -= 1
-            t[len(ca) + len(cb)] += 1
-            if t == want:
-                out.update(
-                    (i, j) if i < j else (j, i) for i in ca for j in cb
-                )
-    elif sum(want.values()) == len(cs) + 1:
-        for c in cs:
-            length = len(c)
-            for k in range(1, length // 2 + 1):
-                t = lam.copy()
-                t[length] -= 1
-                t[k] += 1
-                t[length - k] += 1
-                if t == want:
-                    span = length // 2 if 2 * k == length else length
-                    for s in range(span):
-                        i, j = c[s], c[(s + k) % length]
-                        out.add((i, j) if i < j else (j, i))
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # labeled permutations and monodromy sets
 
@@ -307,54 +275,45 @@ def is_transitive(perms, d: int) -> bool:
 # enumeration and counting
 
 
-def _tau_candidates(d: int):
-    return list(itertools.combinations(range(d), 2))
+def _feasible(orbits: int, cycles: int, n: int, steps: int) -> bool:
+    """Whether a chain state can still end, after `steps` transpositions, in
+    one orbit and n cycles: each step merges at most two orbits and moves the
+    cycle count by exactly one."""
+    gap = abs(cycles - n)
+    return orbits - 1 <= steps and gap <= steps and (gap - steps) % 2 == 0
 
 
 def _completions(sigma0: Perm, params: HurwitzParams):
-    """All (tau_1..tau_r, sigma_r) completing a fixed sigma0, transitivity
-    included.  DFS over tau_1..tau_{r-1}; the last step is found by targeted
-    cut-join instead of scanning all transpositions.  At r = 0 the only
-    candidate is the empty chain, with sigma_r = sigma0.
+    """All (tau_1..tau_r, sigma_r) completing a fixed sigma0 to a transitive
+    chain ending in type nu, in lexicographic order of the transposition pairs.
+
+    The DFS carries each point's orbit label under <sigma_0, tau_1..tau_k>
+    and the orbit count, and prunes every node by _feasible, so a leaf (the
+    root when r = 0) is one orbit with n cycles.
     """
     d, r, n = params.d, params.r, params.n
-    nu = params.nu
-    pairs = _tau_candidates(d)
-
-    def feasible(c: int, steps: int) -> bool:
-        gap = abs(c - n)
-        return gap <= steps and (gap - steps) % 2 == 0
-
-    def transitive_with(taus) -> bool:
-        gens = [sigma0] + [transposition(d, i, j) for i, j in taus]
-        return is_transitive(gens, d)
-
+    want = params.nu.sorted_desc()
+    pairs = [
+        (i, j, transposition(d, i, j)) for i, j in itertools.combinations(range(d), 2)
+    ]
     results = []
 
-    def dfs(sigma: Perm, chosen: list, depth: int):
-        if depth == r - 1:
-            for i, j in transpositions_realizing(sigma, nu):
-                tau = transposition(d, i, j)
-                taus = chosen + [(i, j)]
-                if transitive_with(taus):
-                    results.append(
-                        (
-                            tuple(transposition(d, a, b) for a, b in taus),
-                            compose(tau, sigma),
-                        )
-                    )
+    def dfs(sigma: Perm, orbit: tuple, k: int, taus: tuple):
+        steps = r - len(taus)
+        if not _feasible(k, num_cycles(sigma), n, steps):
             return
-        for i, j in pairs:
-            tau = transposition(d, i, j)
-            nxt = compose(tau, sigma)
-            if feasible(num_cycles(nxt), r - depth - 1):
-                dfs(nxt, chosen + [(i, j)], depth + 1)
+        if steps == 0:
+            if cycle_type(sigma).parts == want:
+                results.append((taus, sigma))
+            return
+        for i, j, tau in pairs:
+            a, b = orbit[i], orbit[j]
+            joined = orbit if a == b else tuple(a if o == b else o for o in orbit)
+            dfs(compose(tau, sigma), joined, k - (a != b), taus + (tau,))
 
-    if r == 0:
-        ends = cycle_type(sigma0).sorted_desc() == nu.sorted_desc()
-        return [((), sigma0)] if ends and is_transitive([sigma0], d) else []
-    if feasible(num_cycles(sigma0), r):
-        dfs(sigma0, [], 0)
+    cs = cycles(sigma0)
+    label = {x: c[0] for c in cs for x in c}
+    dfs(sigma0, tuple(label[x] for x in range(d)), len(cs), ())
     return results
 
 
@@ -430,20 +389,17 @@ def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
     inside one orbit keeps the orbits, a join across two orbits merges them.
     """
     n = len(nu)
-
-    def feasible(state: tuple, steps: int) -> bool:
-        gap = abs(sum(map(len, state)) - n)
-        return (
-            len(state) - 1 <= steps and gap <= steps and (gap - steps) % 2 == 0
-        )
-
     states = {_orbit_state([part] for part in mu): 1}
     for step in range(r):
         nxt = {}
         for state, ways in states.items():
             for after, weight in _orbit_state_moves(state):
                 nxt[after] = nxt.get(after, 0) + ways * weight
-        states = {s: w for s, w in nxt.items() if feasible(s, r - step - 1)}
+        states = {
+            s: w
+            for s, w in nxt.items()
+            if _feasible(len(s), sum(map(len, s)), n, r - step - 1)
+        }
     return states.get(_orbit_state([nu]), 0)
 
 

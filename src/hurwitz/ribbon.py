@@ -261,7 +261,7 @@ class MNRRibbonGraph:
         face_of = self.face_of_dart
         doc = {
             "darts": n,
-            "rotation": [self.rotation_image(x) + 1 for x in range(n)],
+            "rotation": [self.map.rotation[x] + 1 for x in range(n)],
             "involution": [self.map.edge_involution[x] + 1 for x in range(n)],
             "vertex_labels": list(self.vertex_label),
             "face_colors": [self.face_color[face_of[x]] for x in range(n)],
@@ -272,9 +272,6 @@ class MNRRibbonGraph:
                 [x + 1, y + 1, w] for (x, y), w in zip(self.edges(), weights)
             ]
         return doc
-
-    def rotation_image(self, x: int) -> int:
-        return self.map.rotation[x]
 
     def to_dot(self, weights=None) -> str:
         """DOT export; edges annotated with natural orientation and weight."""

@@ -41,7 +41,6 @@ from .permutation import (
     is_transposition,
     monodromy_class_key,
     monodromy_classes,
-    sigma_chain,
 )
 from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph, CombinatorialMap
 
@@ -61,12 +60,6 @@ class TickAssignment:
     @property
     def d(self) -> int:
         return sum(len(ts) for ts in self.per_edge)
-
-    def relabeled(self, pi) -> "TickAssignment":
-        """Apply a bijection pi to every identifier."""
-        return TickAssignment(
-            tuple(tuple(pi[t] for t in ts) for ts in self.per_edge)
-        )
 
 
 def canonical_ticks(h: HurwitzRibbonGraph) -> TickAssignment:
@@ -117,12 +110,6 @@ def step_circles(g: MNRRibbonGraph):
             circles.append(tuple(orbit))
         steps.append(circles)
     return steps, edge_of_nat
-
-
-def ribbon_to_chain(h: HurwitzRibbonGraph, ticks: TickAssignment) -> list:
-    """The permutations sigma_0..sigma_r on the tick set."""
-    ms = ribbon_to_monodromy(h, ticks)
-    return sigma_chain(ms)
 
 
 def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> MonodromySet:
@@ -197,14 +184,11 @@ def chain_to_ribbon(ms: MonodromySet):
     params = ms.params
     if params.r == 0:
         raise RZero("an r = 0 chain has no ribbon-graph realization")
-    chain = sigma_chain(ms)
-
     circles = []
     for cyc in ms.sigma0.cycles_by_label:
         circles.append([("t", t) for t in cyc])
 
-    for i in range(1, params.r + 1):
-        tau = compose(chain[i], inverse(chain[i - 1]))
+    for i, tau in enumerate(ms.taus, start=1):
         if not is_transposition(tau):
             raise InvalidChain(f"step {i} is not a transposition")
         x, y = [p for p, q in enumerate(tau) if p != q]
@@ -371,9 +355,9 @@ class RoundtripReport:
 
 
 def roundtrip_check(params: HurwitzParams) -> RoundtripReport:
-    """Verify that chain_to_ribbon inverts ribbon_to_chain on every weighted
-    ribbon class, and that the induced map onto monodromy-set classes is a
-    bijection preserving automorphism group orders."""
+    """Verify that chain_to_ribbon inverts ribbon_to_monodromy on every
+    weighted ribbon class, and that the induced map onto monodromy-set
+    classes is a bijection preserving automorphism group orders."""
     from .ribbon import hurwitz_ribbon_classes
 
     if params.r == 0:

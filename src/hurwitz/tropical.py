@@ -190,14 +190,6 @@ class MonodromyGraph:
         return self.graph.to_dot(self.flows)
 
 
-def tropical_multiplicity(mg: MonodromyGraph) -> int:
-    """Product of the flows over interior edges; 1 if there are none."""
-    out = 1
-    for k in mg.graph.interior_edge_indices():
-        out *= mg.flows[k]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -18,6 +18,14 @@ Weightings: the library lists a table record's weightings per (white face,
 gray face) cell (``ribbon._cell_weightings``); ``solve_rows`` lists them by a
 depth-first search over single darts, and ``lattice_points`` by a box scan.
 
+Chain completions: the library lists the transposition chains from one
+sigma_0 by a pruned walk (``permutation._completions``);
+``brute_force_completions`` scans every r-tuple of transpositions.
+
+Translation helpers for tests: ``ribbon_to_chain`` (the sigma chain of a
+weighted ribbon graph), ``relabeled`` (a tick assignment under a bijection)
+and ``tropical_multiplicity`` (product of interior flows).
+
 Medial construction: ``medial_graph`` builds the 4-valent map of a map with
 labeled vertices, faces and edges (``LabeledMap``) through the same routines
 the skeleton tables use.
@@ -29,6 +37,7 @@ from fractions import Fraction
 
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
+from hurwitz import traffic as T
 
 
 def conjugate(p, g):
@@ -109,6 +118,23 @@ def all_transpositions(d: int) -> list:
     return [P.transposition(d, i, j) for i, j in itertools.combinations(range(d), 2)]
 
 
+def brute_force_completions(sigma0, params) -> list:
+    """Every (tau_1..tau_r, sigma_r) completing sigma0 to a transitive chain
+    ending in type nu, by a scan of all r-tuples of transpositions in
+    lexicographic order of their (i, j) pairs."""
+    want = params.nu.sorted_desc()
+    out = []
+    for taus in itertools.product(all_transpositions(params.d), repeat=params.r):
+        sigma = sigma0
+        for t in taus:
+            sigma = P.compose(t, sigma)
+        if P.cycle_type(sigma).sorted_desc() != want:
+            continue
+        if P.is_transitive([sigma0, *taus], params.d):
+            out.append((taus, sigma))
+    return out
+
+
 @dataclass(frozen=True)
 class CutJoinEvent:
     """Effect of one transposition: 'join' merges a k- and an l-cycle, 'cut'
@@ -144,6 +170,26 @@ def chain_events(ms) -> list:
     for t in ms.taus:
         sigma, event = apply_transposition(sigma, t)
         out.append(event)
+    return out
+
+
+def ribbon_to_chain(hrg, ticks) -> list:
+    """The permutations sigma_0..sigma_r on the tick set."""
+    return P.sigma_chain(T.ribbon_to_monodromy(hrg, ticks))
+
+
+def relabeled(ticks, pi):
+    """The tick assignment with a bijection pi applied to every identifier."""
+    return T.TickAssignment(
+        tuple(tuple(pi[t] for t in ts) for ts in ticks.per_edge)
+    )
+
+
+def tropical_multiplicity(mg) -> int:
+    """Product of the flows over interior edges; 1 if there are none."""
+    out = 1
+    for k in mg.graph.interior_edge_indices():
+        out *= mg.flows[k]
     return out
 
 

@@ -44,6 +44,18 @@ def test_compute_degree_mismatch_exits_one():
     assert "error" in err
 
 
+def test_compute_nonpositive_part_names_the_rule():
+    code, _, err = run_cli(["compute", "--genus", "0", "--mu", "0,2", "--nu", "2"])
+    assert code == 1
+    assert ">= 1" in err
+
+
+def test_compute_unparsable_partition_exits_one():
+    code, _, err = run_cli(["compute", "--genus", "0", "--mu", "2,,1", "--nu", "3"])
+    assert code == 1
+    assert "cannot parse partition" in err
+
+
 def test_compute_r_zero_graph_method_exits_one(monkeypatch):
     # r = 0: rejected before any count, naming the method that answers
     def no_count(params):

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -14,6 +16,7 @@ from reference import (
     apply_transposition,
     are_isomorphic,
     automorphism_order,
+    brute_force_completions,
     chain_events,
 )
 
@@ -162,6 +165,67 @@ def test_chain_count_equals_dfs_completions():
         assert P._count_chains(params.mu, params.nu, params.r) == len(
             P._completions(rep, params)
         ), params
+
+
+def test_completions_match_brute_force_scan():
+    """The pruned chain walk lists exactly the transitive r-tuples of
+    transpositions ending in type nu, in the same order as a full scan."""
+    sets = all_params(4, 4)
+    sets += [p for p in all_params(5, 3) if p.d == 5]
+    sets += [hurwitz_params(0, (d,), (d,)) for d in range(1, 5)]
+    sets.append(hurwitz_params(0, (1, 2), (2, 1)))
+    for params in sets:
+        rep = P.canonical_perm_of_type(params.mu)
+        brute = brute_force_completions(rep, params)
+        assert P._completions(rep, params) == brute, params
+
+
+def _digest(lines):
+    lines = list(lines)
+    text = "".join(x + "\n" for x in lines)
+    return len(lines), hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "g,mu,nu,sets,classes",
+    [
+        (
+            0, (1, 2), (2, 1),
+            (24, "5e8137ea33117fd1ba504b457dae735b41ea8d0c6a93abf80dd2ae351cb6154f"),
+            (4, "5b29ce77c25b54f6e83b116860f5461b77eed365d0e39b06a093abc7debf1f74"),
+        ),
+        (
+            0, (2, 2, 1), (3, 2),
+            (8640, "9c560b49b987db479de1e90377c79dcbdef7c0ccd3e8c5ec300803469bb8a289"),
+            (72, "a986cb1d7f17c712143707bca2b05e870a54fcce0246066cda8c9d5edadbc3b7"),
+        ),
+        (
+            1, (3, 2), (5,),
+            (9000, "78b224eea38d6920ac4cdc538cac89f0876de698591e01760982c8c1c19d1c58"),
+            (75, "7b75edb2234e5b49b08329db25f1686881ad2bde95235fc029b21b84087abc27"),
+        ),
+        (
+            1, (4,), (4,),
+            (120, "981f109d92fcec5f3f35604f0514852459c88229503e9b9f24c91b1f1c9b3f5c"),
+            (6, "685b3c59f52f37c8fa620ce10aff50b94cd9a2389e50653dc1bf650069ace12b"),
+        ),
+        (
+            0, (3,), (3,),
+            (2, "6e4f457cff947ab45c6cd58f479aaef36b2930ff3256149c64dceb5d284f0a8b"),
+            (1, "9882b776e71dd607ecd6c365d4898804efb096f7ade377b99b92a6acfb0b37e0"),
+        ),
+    ],
+)
+def test_listing_output_is_pinned(g, mu, nu, sets, classes):
+    """The set stream and the class list, line by line as JSON, keep their
+    count and sha256: content and order are both pinned."""
+    params = hurwitz_params(g, mu, nu)
+    assert _digest(
+        json.dumps(ms.serialize()) for ms in P.enumerate_monodromy_sets(params)
+    ) == sets
+    assert _digest(
+        json.dumps([ms.serialize(), aut]) for ms, aut in P.monodromy_classes(params)
+    ) == classes
 
 
 def _gjv_one_part(g, nu):
