@@ -5,6 +5,14 @@ failure (methods disagree or a roundtrip fails).  Output is JSON (JSON lines
 for enumerations) or DOT, and is byte-identical across identical invocations;
 wall-clock timings are only emitted behind --timings.
 
+At start-up this module imports only ``core``: each command imports the
+pipelines it runs when it first needs them, so ``compute --method
+permutation`` never loads the ribbon, tropical or traffic modules, and a
+refusal (r = 0 for a graph method, r >= 6 for the ribbon method) exits
+before any pipeline loads.  ``METHODS`` and ``roundtrip_check`` are module
+attributes holding callables and are looked up at each call, so a caller may
+replace them.
+
 HURWITZ_THREADS caps the verify sweep's worker processes (0 = one per CPU,
 unset = serial); any other value than a nonnegative integer is an error.
 """
@@ -12,6 +20,7 @@ unset = serial); any other value than a nonnegative integer is an error.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -21,29 +30,35 @@ from .core import (
     HurwitzError,
     Partition,
     check_graph_r,
+    check_ribbon_r,
     format_rational,
     hurwitz_params,
     sweep_params,
 )
-from .permutation import count_hurwitz_permutation, enumerate_monodromy_sets
-from .ribbon import (
-    check_ribbon_r,
-    count_hurwitz_ribbon,
-    enumerate_skeletons,
-    hurwitz_ribbon_classes,
-)
-from .traffic import roundtrip_check
-from .tropical import (
-    count_hurwitz_tropical,
-    enumerate_tropical_graphs,
-    monodromy_graph_classes,
-)
 
+
+def _pipeline(module: str):
+    """The module ``hurwitz.<module>``, imported on the first request."""
+    return importlib.import_module(f".{module}", __package__)
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for ``hurwitz.<module>.<name>`` that imports the module on
+    its first call and then forwards every call."""
+
+    def call(*args, **kwargs):
+        return getattr(_pipeline(module), name)(*args, **kwargs)
+
+    return call
+
+
+# Keyed by the name of the module that holds each count.
 METHODS = {
-    "permutation": count_hurwitz_permutation,
-    "ribbon": count_hurwitz_ribbon,
-    "tropical": count_hurwitz_tropical,
+    "permutation": _deferred("permutation", "count_hurwitz_permutation"),
+    "ribbon": _deferred("ribbon", "count_hurwitz_ribbon"),
+    "tropical": _deferred("tropical", "count_hurwitz_tropical"),
 }
+roundtrip_check = _deferred("traffic", "roundtrip_check")
 
 
 def _emit(doc) -> None:
@@ -80,6 +95,7 @@ def cmd_compute(args) -> int:
     values = {}
     timings = {}
     for name in wanted:
+        _pipeline(name)  # the import stays outside the timed count
         t0 = time.perf_counter()
         values[name] = METHODS[name](params)
         timings[name] = round(1000.0 * (time.perf_counter() - t0), 3)
@@ -108,13 +124,16 @@ def cmd_enumerate(args) -> int:
             if args.m < 1 or args.n < 1:
                 return _fail(f"--kind {kind} needs --m >= 1 and --n >= 1")
             if kind == "skeletons":
-                items = enumerate_skeletons(args.m, args.n, args.r)
-                for skel, aut in items:
+                from .ribbon import enumerate_skeletons
+
+                for skel, aut in enumerate_skeletons(args.m, args.n, args.r):
                     if as_dot:
                         sys.stdout.write(skel.to_dot() + "\n")
                     else:
                         _emit({"skeleton": skel.serialize(), "aut": aut})
             else:
+                from .tropical import enumerate_tropical_graphs
+
                 for graph, aut in enumerate_tropical_graphs(args.m, args.n, args.r):
                     if as_dot:
                         sys.stdout.write(graph.to_dot() + "\n")
@@ -125,15 +144,21 @@ def cmd_enumerate(args) -> int:
         if kind == "monodromy-sets":
             if as_dot:
                 return _fail("monodromy sets have no DOT form")
+            from .permutation import enumerate_monodromy_sets
+
             for ms in enumerate_monodromy_sets(params):
                 _emit(ms.serialize())
         elif kind == "hrgs":
+            from .ribbon import hurwitz_ribbon_classes
+
             for hrg, aut in hurwitz_ribbon_classes(params):
                 if as_dot:
                     sys.stdout.write(hrg.to_dot() + "\n")
                 else:
                     _emit({"hrg": hrg.serialize(), "aut": aut})
         elif kind == "monodromy-graphs":
+            from .tropical import monodromy_graph_classes
+
             for mg, aut in monodromy_graph_classes(params):
                 if as_dot:
                     sys.stdout.write(mg.to_dot() + "\n")

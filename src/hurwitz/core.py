@@ -188,6 +188,24 @@ def check_graph_r(r: int, method: str) -> None:
         )
 
 
+# Largest r the ribbon method accepts.  Its tables hold the connected maps on
+# 2r darts up to per-edge swaps with m vertices and n faces: at most 20,640
+# records at r = 5, built in under a second, but about 12!/2^6 = 7.5 M over
+# all buckets at r = 6, whose per-bucket cost is not yet tabulated.
+MAX_RIBBON_R = 5
+
+
+def check_ribbon_r(r: int) -> None:
+    """Raise Infeasible if the ribbon method cannot build the tables for r."""
+    if r > MAX_RIBBON_R:
+        raise Infeasible(
+            f"the ribbon method needs r <= {MAX_RIBBON_R}, got r = {r}; "
+            "no method lists skeletons or ribbon classes there, but the "
+            "permutation and tropical methods count H (compute --method "
+            "permutation or --method tropical)"
+        )
+
+
 def hurwitz_params(g: int, mu, nu) -> HurwitzParams:
     """Build validated parameters; raises DegreeMismatch or NegativeR."""
     if not isinstance(mu, Partition):

@@ -41,7 +41,14 @@ from functools import cached_property, lru_cache
 from math import comb, factorial
 from operator import ge
 
-from .core import HurwitzParams, Infeasible, NonIntegerGenus, Partition, check_graph_r
+from .core import (
+    MAX_RIBBON_R,  # this method's bound, also read as ribbon.MAX_RIBBON_R
+    HurwitzParams,
+    NonIntegerGenus,
+    Partition,
+    check_graph_r,
+    check_ribbon_r,
+)
 
 
 def _orbits(succ, n: int) -> list:
@@ -118,6 +125,23 @@ class CombinatorialMap:
         """Edges as sorted dart pairs, in increasing order."""
         inv = self.edge_involution
         return [(x, inv[x]) for x in range(self.num_darts) if x < inv[x]]
+
+    @cached_property
+    def face_edge_counts(self) -> tuple:
+        """Row per face, aligned with face_orbits: how often the face runs
+        along each edge, edges indexed like edges()."""
+        edges = self.edges()
+        index = {}
+        for k, (x, y) in enumerate(edges):
+            index[x] = k
+            index[y] = k
+        rows = []
+        for orbit in self.face_orbits:
+            row = [0] * len(edges)
+            for x in orbit:
+                row[index[x]] += 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def connected(self) -> bool:
@@ -253,6 +277,34 @@ class MNRRibbonGraph:
                 self.map.face_orbits, self.face_color, self.face_label
             )
             if col == color
+        )
+
+    # Every weighting of one skeleton is checked against the same face rows
+    # and bounds, so they are worked out once, like the map's orbits; the
+    # rows come from the map, which all face labelings of a map share.
+    @cached_property
+    def face_incidence(self) -> tuple:
+        """(white rows, gray rows, lower bounds), the weight-free part of the
+        weight polytope; edges are indexed like edges().
+
+        Row k of a color counts how often that color's face with label k + 1
+        runs along each edge.  An edge's lower bound is 1 when its natural
+        orientation runs i -> j with i >= j, else 0.
+        """
+        faces = sorted(
+            zip(self.face_color, self.face_label, self.map.face_edge_counts)
+        )
+        # natural_orientation, inlined because every labeled skeleton the
+        # listings build runs this: an edge's natural dart lies on a gray face
+        vl, face_of, color = self.vertex_label, self.face_of_dart, self.face_color
+        lower = tuple(
+            int(vl[x] >= vl[y]) if color[face_of[x]] == "gray" else int(vl[y] >= vl[x])
+            for x, y in self.edges()
+        )
+        return (
+            tuple(row for col, _, row in faces if col == "white"),
+            tuple(row for col, _, row in faces if col == "gray"),
+            lower,
         )
 
     def serialize(self, weights=None) -> dict:
@@ -409,29 +461,11 @@ class WeightPolytope:
 
 
 def weight_polytope(g: MNRRibbonGraph, mu: Partition, nu: Partition) -> WeightPolytope:
-    if len(mu) != g.num_white or len(nu) != g.num_gray:
+    whites, grays, lower = g.face_incidence
+    if len(mu) != len(whites) or len(nu) != len(grays):
         raise ValueError("partition lengths must match face counts")
-    edges = g.edges()
-    index = {}
-    for k, (x, y) in enumerate(edges):
-        index[x] = k
-        index[y] = k
-    rows = []
-    for lab, orbit in g.white_faces():
-        coeffs = [0] * len(edges)
-        for x in orbit:
-            coeffs[index[x]] += 1
-        rows.append((tuple(coeffs), mu[lab - 1]))
-    for lab, orbit in g.gray_faces():
-        coeffs = [0] * len(edges)
-        for x in orbit:
-            coeffs[index[x]] += 1
-        rows.append((tuple(coeffs), nu[lab - 1]))
-    lower = []
-    for e in edges:
-        i, j = g.natural_orientation(e)
-        lower.append(1 if i >= j else 0)
-    return WeightPolytope(len(edges), tuple(rows), tuple(lower))
+    rows = tuple(zip(whites, mu)) + tuple(zip(grays, nu))
+    return WeightPolytope(len(lower), rows, lower)
 
 
 # ---------------------------------------------------------------------------
@@ -477,24 +511,6 @@ def _swap_tables(r: int) -> list:
                 t[2 * i], t[2 * i + 1] = t[2 * i + 1], t[2 * i]
         tables.append(tuple(t))
     return tables
-
-
-# Largest r the ribbon method accepts.  Its tables hold the connected maps on
-# 2r darts up to per-edge swaps with m vertices and n faces: at most 20,640
-# records at r = 5, built in under a second, but about 12!/2^6 = 7.5 M over
-# all buckets at r = 6, whose per-bucket cost is not yet tabulated.
-MAX_RIBBON_R = 5
-
-
-def check_ribbon_r(r: int) -> None:
-    """Raise Infeasible if the ribbon method cannot build the tables for r."""
-    if r > MAX_RIBBON_R:
-        raise Infeasible(
-            f"the ribbon method needs r <= {MAX_RIBBON_R}, got r = {r}; "
-            "no method lists skeletons or ribbon classes there, but the "
-            "permutation and tropical methods count H (compute --method "
-            "permutation or --method tropical)"
-        )
 
 
 @lru_cache(maxsize=None)

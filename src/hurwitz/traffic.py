@@ -20,6 +20,12 @@ its boundary in cycle order, then insert vertex i at the unique pair of
 boundary positions (just before each point moved by tau_i) that makes the
 boundary permutation change from sigma_{i-1} to sigma_i; gray disks close the
 surface at the end.
+
+Tropicalization: each circle of the step walks becomes a tropical edge whose
+flow is the circle's weight, so a weighted ribbon graph maps to a monodromy
+graph.  Its weight-free form is an integer matrix per skeleton, and
+fiber_check compares the two on every weighted class.  Like the roundtrip it
+joins the pipelines, which share nothing else.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 
 from .core import (
     HurwitzParams,
+    InconsistentFiber,
     InvalidChain,
     NonterminatingTrace,
     RZero,
@@ -41,8 +48,10 @@ from .permutation import (
     is_transposition,
     monodromy_class_key,
     monodromy_classes,
+    sigma_chain,
 )
 from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph, CombinatorialMap
+from .tropical import MonodromyGraph, TropicalGraph
 
 
 @dataclass(frozen=True)
@@ -316,6 +325,125 @@ def _assemble(ms: MonodromySet, circles):
         per_edge.append(ticks)
     hrg = HurwitzRibbonGraph(skeleton, tuple(weights), params)
     return hrg, TickAssignment(tuple(per_edge))
+
+
+# ---------------------------------------------------------------------------
+# tropicalization
+
+
+def _collapse(families, sources, sinks):
+    """(tropical graph, cycle behind each edge) of a sequence of cycle
+    families.
+
+    families[i] is the set of cycles, as frozensets, alive after step i.
+    Step i >= 1 must end one cycle and start two (a cut) or end two and start
+    one (a join); it becomes internal vertex i.  sources[k - 1] is the cycle
+    of family 0 that source k feeds, sinks[j - 1] the cycle of the last
+    family that feeds sink j.  Edges appear as their cycles start: sources by
+    label, then each step's new cycles in sorted order.
+    """
+    edges = []
+    behind = []
+    live = {}
+
+    def start(tail, cycle):
+        live[cycle] = len(edges)
+        edges.append([tail, None])
+        behind.append(cycle)
+
+    for k, cycle in enumerate(sources, start=1):
+        start(("s", k), cycle)
+    for i in range(1, len(families)):
+        removed = sorted(families[i - 1] - families[i], key=sorted)
+        added = sorted(families[i] - families[i - 1], key=sorted)
+        if sorted((len(removed), len(added))) != [1, 2]:
+            raise ValueError(f"step {i} is not a single cut or join")
+        for cycle in removed:
+            edges[live.pop(cycle)][1] = ("v", i)
+        for cycle in added:
+            start(("v", i), cycle)
+    for j, cycle in enumerate(sinks, start=1):
+        edges[live.pop(cycle)][1] = ("t", j)
+    graph = TropicalGraph(
+        len(sources), len(sinks), len(families) - 1, tuple(map(tuple, edges))
+    )
+    return graph, tuple(behind)
+
+
+def monodromy_graph_of_chain(ms: MonodromySet) -> MonodromyGraph:
+    """Cycles of the sigma chain become edges; step i is internal vertex i;
+    each flow is the length of the cycle behind the edge."""
+    graph, behind = _collapse(
+        [{frozenset(c) for c in cycles(p)} for p in sigma_chain(ms)],
+        [frozenset(c) for c in ms.sigma0.cycles_by_label],
+        [frozenset(c) for c in ms.sigma_inf.cycles_by_label],
+    )
+    return MonodromyGraph(graph, tuple(len(c) for c in behind), ms.params)
+
+
+def tropicalize(h: HurwitzRibbonGraph, ticks: TickAssignment | None = None) -> MonodromyGraph:
+    """Run the traffic algorithm and collapse each circle to a tropical edge;
+    the flow is the circle's total weight (its number of tick marks)."""
+    if ticks is None:
+        ticks = canonical_ticks(h)
+    return monodromy_graph_of_chain(ribbon_to_monodromy(h, ticks))
+
+
+def tropicalization_matrix(skeleton: MNRRibbonGraph):
+    """(tropical graph, integer matrix) for one skeleton, weight-free.
+
+    The circles of the step walks depend only on the map, so the tropical
+    skeleton underneath every weighting is common, and the flow of each
+    tropical edge is the total weight of the ribbon edges its circle runs
+    through.  A circle is an orbit on natural darts, so it runs through each
+    edge at most once, and row k of the matrix, for edge k of the returned
+    graph, is the circle's 0/1 edge-incidence vector.
+    """
+    steps, edge_of_nat = step_circles(skeleton)
+    invol = skeleton.map.edge_involution
+    face_of = skeleton.face_of_dart
+    label = skeleton.face_label
+    whites = {label[face_of[invol[c[0]]]]: frozenset(c) for c in steps[0]}
+    grays = {label[face_of[c[0]]]: frozenset(c) for c in steps[-1]}
+    graph, behind = _collapse(
+        [{frozenset(c) for c in circles} for circles in steps],
+        [whites[k] for k in sorted(whites)],
+        [grays[j] for j in sorted(grays)],
+    )
+    # edge_of_nat lists the natural darts in edge order
+    return graph, tuple(tuple(int(x in c) for x in edge_of_nat) for c in behind)
+
+
+def fiber_check(params: HurwitzParams):
+    """Group weighted ribbon classes by tropical skeleton and verify that the
+    weight-free matrix reproduces every weighted tropicalization.
+
+    Returns {tropical skeleton canonical form: [(hrg, aut, monodromy graph)]}.
+    Raises InconsistentFiber if any weighting of a skeleton lands on a
+    different tropical skeleton than the matrix predicts.
+    """
+    from .ribbon import hurwitz_ribbon_classes
+
+    groups = {}
+    skeleton = None
+    for hrg, aut in hurwitz_ribbon_classes(params):
+        if hrg.skeleton is not skeleton:  # classes of one skeleton are adjacent
+            skeleton = hrg.skeleton
+            graph, rows = tropicalization_matrix(skeleton)
+        mg = tropicalize(hrg)
+        predicted = sorted(
+            (t, h, sum(c * w for c, w in zip(row, hrg.weights)))
+            for (t, h), row in zip(graph.edges, rows)
+        )
+        actual = sorted(
+            (t, h, f) for (t, h), f in zip(mg.graph.edges, mg.flows)
+        )
+        if predicted != actual:
+            raise InconsistentFiber(
+                f"weighting {hrg.weights} leaves the common tropical skeleton"
+            )
+        groups.setdefault(mg.graph.canonical_form(), []).append((hrg, aut, mg))
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def test_criterion_5_genus_coherence():
     for params in all_params(4, 5):
         for hrg, _ in R.hurwitz_ribbon_classes(params):
             assert hrg.skeleton.genus() == params.g
-            mg = TR.tropicalize(hrg)
+            mg = T.tropicalize(hrg)
             assert mg.graph.first_betti() == params.g
             count += 1
     _announce(
@@ -167,7 +167,7 @@ def test_criterion_7_wall_detection():
 def test_criterion_8_aggregate_tropicalization_identity():
     checked = 0
     for params in all_params(5, 5):
-        groups = TR.fiber_check(params)  # InconsistentFiber would fail here
+        groups = T.fiber_check(params)  # InconsistentFiber would fail here
         tropical_sums = {}
         for graph, aut in TR.enumerate_tropical_graphs(params.m, params.n, params.r):
             total = Fraction(0)

@@ -85,6 +85,36 @@ def test_ribbon_beyond_max_r_exits_one():
         assert "permutation" in err and "tropical" in err
 
 
+def test_commands_call_the_methods_and_roundtrip_through_the_module(monkeypatch):
+    # compute and verify look METHODS and roundtrip_check up on the module
+    # at each call, so replacing them there (as a tracer does) takes effect
+    calls = []
+    count, roundtrip = cli.METHODS["ribbon"], cli.roundtrip_check
+
+    def fake_count(params):
+        calls.append(("ribbon", params.describe()))
+        return count(params)
+
+    def fake_roundtrip(params):
+        calls.append(("roundtrip", params.describe()))
+        return roundtrip(params)
+
+    monkeypatch.setitem(cli.METHODS, "ribbon", fake_count)
+    monkeypatch.setattr(cli, "roundtrip_check", fake_roundtrip)
+    code, out, _ = run_cli(
+        ["compute", "--genus", "0", "--mu", "2,1", "--nu", "2,1", "--method", "ribbon"]
+    )
+    assert code == 0 and json.loads(out)["value"] == "4"
+    assert calls == [("ribbon", json.loads(out)["params"])]
+    calls.clear()
+    code, out, _ = run_cli(["verify", "--max-d", "2", "--max-r", "2"])
+    assert code == 0
+    swept = [res["params"] for res in json.loads(out)["results"]]
+    assert swept and calls == [
+        (kind, p) for p in swept for kind in ("ribbon", "roundtrip")
+    ]
+
+
 def test_compute_timings_flag():
     code, out, _ = run_cli(
         [

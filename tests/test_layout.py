@@ -1,7 +1,13 @@
 """Package layout rules that the code itself can check."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hurwitz"
 
@@ -22,11 +28,11 @@ def test_modules_import_no_private_names():
     assert offenders == []
 
 
-def test_permutation_and_ribbon_import_only_core():
-    """The permutation and ribbon pipelines stay independent: neither imports
-    anything from the package but ``core``."""
+def test_pipelines_import_only_core():
+    """The permutation, ribbon and tropical pipelines stay independent: none
+    imports anything from the package but ``core``."""
     offenders = []
-    for name in ("permutation", "ribbon"):
+    for name in ("permutation", "ribbon", "tropical"):
         path = SRC / f"{name}.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.ImportFrom):
@@ -69,3 +75,49 @@ def test_private_helpers_have_a_library_caller():
             if not uses.get(node.name, set()) - inside:
                 offenders.append(f"{name}:{node.lineno} {node.name}")
     assert offenders == []
+
+
+# Runs the CLI (or, with no arguments, only imports it) in a fresh
+# interpreter and prints the package modules it loaded, one JSON line last.
+_LOADED = """
+import json, sys
+from hurwitz import cli
+argv = json.loads(sys.argv[1])
+if argv:
+    cli.main(argv)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "hurwitz")))
+"""
+
+_BASE = {"hurwitz", "hurwitz.core", "hurwitz.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        ([], set()),
+        (["compute", "--method", "permutation", "--genus", "1", "--mu", "2", "--nu", "2"],
+         {"permutation"}),
+        (["compute", "--method", "ribbon", "--genus", "1", "--mu", "2", "--nu", "2"],
+         {"ribbon"}),
+        (["compute", "--method", "tropical", "--genus", "1", "--mu", "2", "--nu", "2"],
+         {"tropical"}),
+        (["compute", "--method", "all", "--genus", "2", "--mu", "3,3", "--nu", "3,3"],
+         set()),
+        (["verify", "--max-d", "2", "--max-r", "6"], set()),
+        (["chambers", "--genus", "0", "--m", "1", "--n", "2", "--dmax", "4"],
+         {"permutation", "chambers"}),
+    ],
+)
+def test_cli_loads_only_the_pipelines_a_command_runs(argv, extra):
+    """A command imports the pipelines it runs and no other; a refusal
+    (r = 6 for the ribbon method) exits before any pipeline loads."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED, json.dumps(argv)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    assert loaded == _BASE | {f"hurwitz.{name}" for name in extra}

@@ -6,8 +6,8 @@ import pytest
 from hurwitz.core import Partition, RZero, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
+from hurwitz import traffic as T
 from hurwitz import tropical as TR
-from hurwitz.traffic import canonical_ticks
 from reference import chain_events, tropical_multiplicity
 
 
@@ -176,7 +176,7 @@ def test_conservation_across_prefix_cuts():
 def test_tropicalize_genus_one():
     params = hurwitz_params(1, (2,), (2,))
     hrg, _ = R.hurwitz_ribbon_classes(params)[0]
-    mg = TR.tropicalize(hrg)
+    mg = T.tropicalize(hrg)
     assert mg.graph.first_betti() == 1
     interior = mg.graph.interior_edge_indices()
     assert sorted(mg.flows[k] for k in interior) == [1, 1]
@@ -185,7 +185,7 @@ def test_tropicalize_genus_one():
 def test_tropicalize_single_join():
     params = hurwitz_params(0, (1, 1), (2,))
     hrg, _ = R.hurwitz_ribbon_classes(params)[0]
-    mg = TR.tropicalize(hrg)
+    mg = T.tropicalize(hrg)
     assert mg.graph.interior_edge_indices() == []
     assert sorted(mg.flows) == [1, 1, 2]
 
@@ -193,19 +193,17 @@ def test_tropicalize_single_join():
 def test_tropicalize_betti_equals_genus(small_params):
     for params in small_params[:25]:
         for hrg, _ in R.hurwitz_ribbon_classes(params):
-            mg = TR.tropicalize(hrg)
+            mg = T.tropicalize(hrg)
             assert mg.graph.first_betti() == params.g
             assert hrg.skeleton.genus() == params.g
 
 
 def test_tropicalize_cut_join_sequence_matches_chain():
-    from hurwitz.traffic import ribbon_to_monodromy
-
     params = hurwitz_params(0, (2, 2), (3, 1))
     for hrg, _ in R.hurwitz_ribbon_classes(params):
-        ms = ribbon_to_monodromy(hrg, canonical_ticks(hrg))
+        ms = T.ribbon_to_monodromy(hrg, T.canonical_ticks(hrg))
         events = chain_events(ms)
-        mg = TR.tropicalize(hrg)
+        mg = T.tropicalize(hrg)
         for i, ev in enumerate(events, start=1):
             out_deg = sum(1 for t, h in mg.graph.edges if t == ("v", i))
             assert out_deg == (2 if ev.kind == "cut" else 1)
@@ -214,7 +212,7 @@ def test_tropicalize_cut_join_sequence_matches_chain():
 def test_tropicalization_matrix_genus_one():
     params = hurwitz_params(1, (2,), (2,))
     skel = R.hurwitz_ribbon_classes(params)[0][0].skeleton
-    graph, rows = TR.tropicalization_matrix(skel)
+    graph, rows = T.tropicalization_matrix(skel)
     interior = graph.interior_edge_indices()
     supports = [tuple(k for k, c in enumerate(rows[e]) if c) for e in interior]
     assert len(supports) == 2
@@ -226,7 +224,7 @@ def test_tropicalization_matrix_boundary_rows_are_balancing_sums():
     params = hurwitz_params(0, (2, 1), (2, 1))
     for hrg, _ in R.hurwitz_ribbon_classes(params):
         skel = hrg.skeleton
-        graph, rows = TR.tropicalization_matrix(skel)
+        graph, rows = T.tropicalization_matrix(skel)
         white_rows = {}
         for (tail, head), row in zip(graph.edges, rows):
             if tail[0] == "s":
@@ -243,13 +241,13 @@ def test_tropicalization_matrix_boundary_rows_are_balancing_sums():
 
 def test_matrix_maps_weights_to_flows(small_params):
     for params in small_params[:20]:
-        TR.fiber_check(params)  # raises InconsistentFiber on failure
+        T.fiber_check(params)  # raises InconsistentFiber on failure
 
 
 def test_aggregate_fiber_identity():
     for g, mu, nu in [(0, (2, 1), (2, 1)), (1, (2,), (2,)), (0, (2, 2), (3, 1)), (1, (2, 1), (2, 1))]:
         params = hurwitz_params(g, mu, nu)
-        groups = TR.fiber_check(params)
+        groups = T.fiber_check(params)
         tropical_by_form = {}
         for graph, aut in TR.enumerate_tropical_graphs(params.m, params.n, params.r):
             total = Fraction(0)
