@@ -72,24 +72,25 @@ class TropicalGraph:
         return self.m + self.n + self.r
 
     def is_connected(self) -> bool:
-        nodes = set()
-        adj = {}
+        # union-find over the edge endpoints, with path halving; parts counts
+        # the components of the endpoints seen so far
+        parent = {}
+        parts = 0
         for tail, head in self.edges:
-            nodes.update((tail, head))
-            adj.setdefault(tail, []).append(head)
-            adj.setdefault(head, []).append(tail)
-        if len(nodes) != self.num_vertices():
-            return False
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(nodes)
+            if tail not in parent:
+                parent[tail] = tail
+                parts += 1
+            if head not in parent:
+                parent[head] = head
+                parts += 1
+            while parent[tail] != tail:
+                parent[tail] = tail = parent[parent[tail]]
+            while parent[head] != head:
+                parent[head] = head = parent[parent[head]]
+            if tail != head:
+                parent[tail] = head
+                parts -= 1
+        return parts == 1 and len(parent) == self.num_vertices()
 
     def first_betti(self) -> int:
         return len(self.edges) - self.num_vertices() + 1

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,23 +263,34 @@ def brute_force_base_map_classes(r):
                 break
         if not is_canon:
             continue
-        cycles = R._orbits(lambda x: sigma[x], n)
-        grays = R._orbits(lambda x: sigma[x] ^ 1, n)
-        key = (len(cycles), len(grays))
+        whites, _ = R._orbits(sigma)
+        grays, _ = R._orbits([sigma[x] ^ 1 for x in rng])
+        key = (len(whites), len(grays))
         stab = [
             t for t in all_tables if all(t[sigma[t[x]]] == sigma[x] for x in rng)
         ]
-        lower = tuple(1 if x // 2 >= sigma[x] // 2 else 0 for x in rng)
+        lower = [1 if x // 2 >= sigma[x] // 2 else 0 for x in rng]
+        # the record's fields in order: sigma, stabilizer, white and gray
+        # face of each dart, lower bounds
         buckets.setdefault(key, []).append(
-            {
-                "sigma": sigma,
-                "stab": stab,
-                "whites": cycles,
-                "grays": grays,
-                "lower": lower,
-            }
+            (
+                bytes(sigma),
+                tuple(stab),
+                bytes(_face_index(whites, n)),
+                bytes(_face_index(grays, n)),
+                bytes(lower),
+            )
         )
     return buckets
+
+
+def _face_index(cycles, n):
+    """The position in cycles of the cycle through each of 0..n-1."""
+    index = [None] * n
+    for i, cycle in enumerate(cycles):
+        for x in cycle:
+            index[x] = i
+    return index
 
 
 def _buckets(r):
@@ -297,7 +309,7 @@ def test_base_map_classes_match_scan(r):
     buckets = _buckets(r)
     assert set(brute) <= set(buckets)
     for m, n in buckets:
-        # same records in the same order
+        # same records in the same order, every field compared
         assert R._base_map_classes(r, m, n) == brute.get((m, n), [])
 
 
@@ -312,6 +324,78 @@ def test_base_map_classes_r5_bucket_sizes():
         (3, 4): 12360, (4, 3): 12360,
     }
     assert sum(sizes.values()) == 97968
+
+
+def _cycles_of(index, perm):
+    """The cycles a face index names, face i walked along perm from its
+    minimum dart, the first dart with index i; every dart of the walk must
+    carry index i, and the walks must cover all darts."""
+    cycles = []
+    for i in range(max(index) + 1):
+        start = index.index(i)
+        cycle = [start]
+        x = perm[start]
+        while x != start:
+            assert index[x] == i
+            cycle.append(x)
+            x = perm[x]
+        cycles.append(cycle)
+    assert sum(map(len, cycles)) == len(index)
+    return cycles
+
+
+def _table_digest(records, r):
+    """sha256 of a bucket's records in order, as JSON lines [sigma,
+    stabilizer masks, white cycles, gray cycles, lower bounds]: a form that
+    does not depend on how a record stores them."""
+    h = hashlib.sha256()
+    for record in records:
+        sigma = list(record.sigma)
+        masks = [
+            sum(1 << k for k in range(r) if t[2 * k] != 2 * k) for t in record.stab
+        ]
+        whites = _cycles_of(record.white, sigma)
+        grays = _cycles_of(record.gray, [y ^ 1 for y in sigma])
+        line = [sigma, masks, whites, grays, list(record.lower)]
+        h.update((json.dumps(line) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_base_map_classes_r5_pinned():
+    """The r = 5 tables, which the scan does not reach, as digests taken
+    from the tables kept as dicts of tuples (sigma, stabilizer tables, white
+    cycles, gray cycles, lower bounds)."""
+    digests = {
+        (m, n): _table_digest(R._base_map_classes(5, m, n), 5) for m, n in _buckets(5)
+    }
+    assert digests == {
+        (1, 2): "00e0392acca8a92a8cc70e7a594744cc7d362aff8fd5d932400c43579beb7892",
+        (2, 1): "feaf4f72d9c1131e17da6ca384bc6298708fed961dbd0698db9c4b436d49b7ab",
+        (1, 4): "7c85591ac428f5af56a78646904a5ee8cf5b250d54972a24c01d5a3751ecd4c5",
+        (4, 1): "dd6a8c4db0aead8777c6c08fd138e4df6964322e6c54fdea02d81346130afff5",
+        (1, 6): "6dc2a3f0a51c2f63e2df4908bedb43a880e82e3d8c44798a039bc2f117bc60a8",
+        (6, 1): "eba076cd1cbca75de5e895b5653ab2191cd93e3decde4897c5fbea09a86c9578",
+        (2, 3): "d4c4f93bc6e0f73ff9733ec294117c4575ca81a6cade2a2f631811b6f6948bf9",
+        (3, 2): "1c3ca503ba361fbb3b15f369dc15a3a4af290c095125a179cb0bcb5edbcef66f",
+        (2, 5): "2dc2fddd80ef927d9ed6d305010f6e57fa314a5e7521c7ba049ba2b85f62f4f8",
+        (5, 2): "6fdabc2cbd190bf73e3e58ca71ef0696db345a5f5f6eaf287ef6290f988720d3",
+        (3, 4): "9b472eafa173c4ec5715c1946af6bbeb110fc9324529cb65f91539f82505c374",
+        (4, 3): "a76b0b2237b522e4648cda0234603e496064900be6be5b8361bc37b8c9408756",
+    }
+
+
+def test_base_map_classes_r5_bucket_memory():
+    """The largest r = 5 bucket, 20,640 records, stays under 8 MB while it
+    is built and cached (about 20 MB as dicts of tuples)."""
+    R._base_map_classes.cache_clear()
+    tracemalloc.start()
+    try:
+        records = R._base_map_classes(5, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20640
+    assert peak < 8_000_000
 
 
 def test_ribbon_count_builds_one_bucket():
@@ -567,11 +651,10 @@ def test_count_invariant_under_part_order(data):
 def _dart_rows(record, a, b):
     """The balancing rows of one record over its sigma darts, for white face
     totals a and gray face totals b, as solve_rows reads them."""
-    nd = len(record["sigma"])
     rows = []
-    for faces, totals in ((record["whites"], a), (record["grays"], b)):
-        for face, total in zip(faces, totals):
-            rows.append((tuple(int(x in face) for x in range(nd)), total))
+    for index, totals in ((record.white, a), (record.gray, b)):
+        for i, total in enumerate(totals):
+            rows.append((tuple(int(f == i) for f in index), total))
     return tuple(rows)
 
 
@@ -590,10 +673,13 @@ def test_cell_count_matches_lattice_solver(r):
             if len(mu) == m and len(nu) == n
         ]
         for record in R._base_map_classes(r, m, n):
-            lower = record["lower"]
+            lower = record.lower
             cells = R._record_cells(record)
-            w_need = [sum(lower[x] for x in c) for c in record["whites"]]
-            g_need = [sum(lower[x] for x in o) for o in record["grays"]]
+            w_need = [0] * m
+            g_need = [0] * n
+            for x, low in enumerate(lower):
+                w_need[record.white[x]] += low
+                g_need[record.gray[x]] += low
             for mu, nu in pairs:
                 for a in R._distinct_orderings(mu):
                     if any(x < y for x, y in zip(a, w_need)):

@@ -57,6 +57,18 @@ def test_connectedness_is_enforced():
                 assert not (tail[0] == "s" and head[0] == "t")
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_disconnected_graph_is_rejected(order):
+    """A join and a cut side by side pass every degree check but form two
+    components; the edge order does not matter."""
+    edges = (
+        (("s", 1), ("v", 1)), (("s", 2), ("v", 1)), (("v", 1), ("t", 1)),
+        (("s", 3), ("v", 2)), (("v", 2), ("t", 2)), (("v", 2), ("t", 3)),
+    )[::order]
+    with pytest.raises(ValueError, match="tropical graphs must be connected"):
+        TR.TropicalGraph(3, 3, 2, edges)
+
+
 def test_flows_join_then_cut():
     params = hurwitz_params(0, (2, 1), (2, 1))
     graphs = TR.enumerate_tropical_graphs(2, 2, 2)
