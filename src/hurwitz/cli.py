@@ -213,7 +213,8 @@ def cmd_verify(args) -> int:
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its workers at once: no more than the jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_verify_one, jobs))
     else:
         results = [_verify_one(job) for job in jobs]

@@ -189,65 +189,62 @@ class MonodromyGraph:
 
 @lru_cache(maxsize=None)
 def enumerate_tropical_graphs(m: int, n: int, r: int) -> tuple:
-    """One representative per isomorphism class, with |Aut|.
+    """One representative per isomorphism class, with |Aut|, sorted by
+    canonical form.
 
     Sequential cut-join construction: a pool of open edges starts at the
     sources; internal vertex i either joins two open edges or cuts one; the
-    final open edges attach to the labeled sinks.  Open edges are
-    interchangeable iff they have the same origin, so deduplicating the
-    choices at each step enumerates each class exactly once.
+    final open edges attach to the labeled sinks.  Each open edge carries its
+    origin and a component label (a join relabels one component into the
+    other), and every component keeps an open edge.  With `left` steps to go
+    a branch survives only if parts - 1 <= left (a join merges at most two
+    parts) and |opens - n| <= left with left - |opens - n| even (each step
+    moves the open count by one), so every leaf is connected.
+
+    The walk is orderly, so nothing is deduplicated.  All vertices are
+    labeled, so a class is its edge multiset.  Step i fixes the multiset of
+    origins feeding vertex i, and the choices at one step, like the sink
+    assignments at a leaf, are distinct by origin.  So two different walks
+    first differ in the in-edges of some internal vertex or sink.
     """
     if r < 1:
         raise ValueError("tropical graphs need r >= 1")
-    results = []
+    graphs = []
 
-    def finish(edges, opens):
-        if len(opens) != n:
+    def step(i, edges, opens, parts):
+        # opens: an (origin, component) pair per open edge
+        left = r + 1 - i
+        gap = abs(len(opens) - n)
+        if parts - 1 > left or gap > left or (left - gap) % 2:
             return
-        for assignment in sorted(set(itertools.permutations(opens))):
-            full = list(edges)
-            for j, origin in enumerate(assignment):
-                full.append((origin, ("t", j + 1)))
-            try:
-                graph = TropicalGraph(m, n, r, tuple(full))
-            except ValueError:
-                continue  # disconnected (or a source wired straight to a sink)
-            results.append(graph)
-
-    def step(i, edges, opens):
-        if i > r:
-            finish(edges, opens)
+        if left == 0:
+            origins = [origin for origin, _ in opens]
+            for assignment in sorted(set(itertools.permutations(origins))):
+                sinks = [(o, ("t", j)) for j, o in enumerate(assignment, 1)]
+                graphs.append(TropicalGraph(m, n, r, tuple(edges + sinks)))
             return
         v = ("v", i)
         seen = set()
-        for a_idx in range(len(opens)):
-            for b_idx in range(a_idx + 1, len(opens)):
-                key = tuple(sorted((opens[a_idx], opens[b_idx])))
-                if key in seen:
-                    continue
-                seen.add(key)
-                rest = [o for k, o in enumerate(opens) if k not in (a_idx, b_idx)]
-                step(
-                    i + 1,
-                    edges + [(opens[a_idx], v), (opens[b_idx], v)],
-                    rest + [v],
-                )
+        for a, (x, cx) in enumerate(opens):
+            for b in range(a + 1, len(opens)):
+                y, cy = opens[b]
+                key = tuple(sorted((x, y)))
+                if key not in seen:
+                    seen.add(key)
+                    rest = [(o, cx if c == cy else c) for o, c in opens]
+                    del rest[b], rest[a]
+                    joined = edges + [(x, v), (y, v)]
+                    step(i + 1, joined, rest + [(v, cx)], parts - (cx != cy))
         seen = set()
-        for a_idx in range(len(opens)):
-            if opens[a_idx] in seen:
-                continue
-            seen.add(opens[a_idx])
-            rest = [o for k, o in enumerate(opens) if k != a_idx]
-            step(i + 1, edges + [(opens[a_idx], v)], rest + [v, v])
+        for a, (x, cx) in enumerate(opens):
+            if x not in seen:
+                seen.add(x)
+                rest = opens[:a] + opens[a + 1 :] + [(v, cx), (v, cx)]
+                step(i + 1, edges + [(x, v)], rest, parts)
 
-    step(1, [], [("s", k) for k in range(1, m + 1)])
-    uniq = {}
-    for g in results:
-        key = g.canonical_form()
-        if key not in uniq:
-            uniq[key] = g
-    out = tuple((g, g.aut_order()) for _, g in sorted(uniq.items()))
-    return out
+    step(1, [], [(("s", k), k) for k in range(1, m + 1)], m)
+    graphs.sort(key=TropicalGraph.canonical_form)
+    return tuple((g, g.aut_order()) for g in graphs)
 
 
 def flow_lattice_points(t: TropicalGraph, mu: Partition, nu: Partition) -> list:

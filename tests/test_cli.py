@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import sys
@@ -235,6 +236,35 @@ def test_verify_worker_env(monkeypatch):
         code, out, err = run_cli(["verify", "--max-d", "2", "--max-r", "2"])
         assert code == 1 and out == ""
         assert "HURWITZ_THREADS" in err
+
+
+def test_verify_pool_never_exceeds_the_jobs(monkeypatch):
+    """A large HURWITZ_THREADS starts no more workers than there are jobs;
+    a recording stand-in for the pool runs the jobs in this process."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    for threads, expected in (("64", 5), ("3", 3)):
+        monkeypatch.setenv("HURWITZ_THREADS", threads)
+        code, out, _ = run_cli(["verify", "--max-d", "2", "--max-r", "2"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["checked"] == 5 and doc["all_agree"] is True
+        assert pools.pop() == expected
+    assert pools == []
 
 
 def test_chambers_command():

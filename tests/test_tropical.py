@@ -1,9 +1,17 @@
+import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hurwitz.core import Partition, RZero, hurwitz_params
+from hurwitz.core import Partition, RZero, descending_partitions, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
 from hurwitz import traffic as T
@@ -42,7 +50,7 @@ def test_vertex_order_respected():
 
 
 def test_no_duplicate_classes():
-    for m, n, r in [(2, 2, 2), (1, 3, 2), (2, 1, 3), (1, 1, 4)]:
+    for m, n, r in [(2, 2, 2), (1, 3, 2), (2, 1, 3), (1, 1, 4), (3, 3, 4), (2, 3, 5)]:
         graphs = TR.enumerate_tropical_graphs(m, n, r)
         forms = [g.canonical_form() for g, _ in graphs]
         assert len(forms) == len(set(forms))
@@ -51,10 +59,67 @@ def test_no_duplicate_classes():
 def test_connectedness_is_enforced():
     # a source wired straight to a sink would be its own component
     for m, n, r in [(2, 2, 2), (3, 1, 2)]:
-        for graph, _ in TR.enumerate_tropical_graphs(m, n, r):
+        graphs = TR.enumerate_tropical_graphs(m, n, r)
+        assert graphs
+        for graph, _ in graphs:
             assert graph.is_connected()
             for tail, head in graph.edges:
                 assert not (tail[0] == "s" and head[0] == "t")
+
+
+# graphs per (m, n, r), every shape with r <= 5 and integer genus >= 0
+_LISTING_SIZES = {
+    (1, 2, 1): 1, (2, 1, 1): 1,
+    (1, 1, 2): 1, (1, 3, 2): 3, (2, 2, 2): 5, (3, 1, 2): 3,
+    (1, 2, 3): 5, (1, 4, 3): 18, (2, 1, 3): 5, (2, 3, 3): 45, (3, 2, 3): 45,
+    (4, 1, 3): 18,
+    (1, 1, 4): 3, (1, 3, 4): 48, (1, 5, 4): 180, (2, 2, 4): 89, (2, 4, 4): 630,
+    (3, 1, 4): 48, (3, 3, 4): 891, (4, 2, 4): 630, (5, 1, 4): 180,
+    (1, 2, 5): 59, (1, 4, 5): 708, (1, 6, 5): 2700, (2, 1, 5): 59,
+    (2, 3, 5): 1968, (2, 5, 5): 12600, (3, 2, 5): 1968, (3, 4, 5): 23490,
+    (4, 1, 5): 708, (4, 3, 5): 23490, (5, 2, 5): 12600, (6, 1, 5): 2700,
+}
+
+# sha256 of the `enumerate --kind tropical-graphs` JSON lines; graphs with
+# aut > 1: 2 of 3, 41 of 89, none of 891 and 741 of 1,968
+_LISTING_DIGESTS = {
+    (1, 1, 4): "a9b6c15d878da8373a0027f47f2efe64e8505fff176d9c978d6e11880a94f44c",
+    (2, 2, 4): "bf16fa0545515d20e56090cdcf6f199456bc04b68478f5732be891b2e02a5805",
+    (3, 3, 4): "dd08fa12a172305403b2381b737526dbf89af0dbe44a70b31724f282ae963e23",
+    (2, 3, 5): "ad862b6d2bb2a338dcd3bc8d0da05d33116cdbbd9d645028407e2613537854a4",
+}
+
+
+def test_tropical_listing_pinned():
+    """Sizes of every listing with r <= 5, and the representatives, their
+    edge order, the listing order and |Aut| of four, taken while the walk
+    still deduplicated by canonical form."""
+    for (m, n, r), size in _LISTING_SIZES.items():
+        assert len(TR.enumerate_tropical_graphs(m, n, r)) == size, (m, n, r)
+    for shape, digest in _LISTING_DIGESTS.items():
+        lines = "".join(
+            json.dumps({"graph": graph.serialize(), "aut": aut}) + "\n"
+            for graph, aut in TR.enumerate_tropical_graphs(*shape)
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest, shape
+
+
+def test_impossible_shapes_return_at_once():
+    """No graph has negative (9, 1, 6), (1, 9, 6) or half-integer (2, 2, 3)
+    genus; the pruned walk says so without walking every branch."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    code = (
+        "from hurwitz.tropical import enumerate_tropical_graphs as e\n"
+        "for shape in [(9, 1, 6), (1, 9, 6), (2, 2, 3)]:\n"
+        "    assert e(*shape) == (), shape\n"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code], env=env, timeout=30, check=True
+    )
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -157,6 +222,34 @@ def test_count_agrees_with_permutations(small_params):
         assert TR.count_hurwitz_tropical(params) == P.count_hurwitz_permutation(
             params
         ), params
+
+
+@st.composite
+def tropical_hurwitz_data(draw):
+    """(g, mu, nu) with d <= 6 and 1 <= r <= 5, parts in arbitrary order."""
+    d = draw(st.integers(1, 6))
+    mu = draw(st.sampled_from(descending_partitions(d)))
+    nu = draw(
+        st.sampled_from(
+            [p for p in descending_partitions(d) if len(p) <= 7 - len(mu)]
+        )
+    )
+    base = len(mu) + len(nu) - 2
+    g = draw(st.sampled_from([g for g in range(3) if 1 <= 2 * g + base <= 5]))
+    return g, tuple(draw(st.permutations(mu))), tuple(draw(st.permutations(nu)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tropical_hurwitz_data())
+@example((0, (1,) * 6, (6,)))
+@example((0, (6,), (1,) * 6))
+@example((0, (1, 2, 1, 1), (2, 1, 2)))
+def test_count_matches_permutations_on_shuffled_parts(data):
+    """Sources and sinks are labeled, so any order of the parts, repeated
+    parts included, gives the permutation count."""
+    g, mu, nu = data
+    params = hurwitz_params(g, mu, nu)
+    assert TR.count_hurwitz_tropical(params) == P.count_hurwitz_permutation(params)
 
 
 def test_monodromy_graph_classes_two_two():
