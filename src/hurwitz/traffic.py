@@ -15,11 +15,13 @@ follows the gray faces and realizes nu.  Successive sigma_i differ by the
 rule flip at one vertex, which swaps two walk successors, i.e. multiplies by
 a transposition.
 
-Reverse direction: start with one white disk per cycle of sigma_0, ticks on
-its boundary in cycle order, then insert vertex i at the unique pair of
-boundary positions (just before each point moved by tau_i) that makes the
-boundary permutation change from sigma_{i-1} to sigma_i; gray disks close the
-surface at the end.
+Reverse direction: start with one white disk per cycle of sigma_0, its
+boundary a circle of successor pointers through the ticks in cycle order.
+Vertex i, for tau_i = (x y), enters with one rule of six links: what led to
+x now runs into vertex i and out to y, what led to y runs in and out to x.
+That turns the boundary permutation from sigma_{i-1} into sigma_i, cutting
+a circle when x and y share it and joining two otherwise; gray disks close
+the surface at the end.
 
 Tropicalization: each circle of the step walks becomes a tropical edge whose
 flow is the circle's weight, so a weighted ribbon graph maps to a monodromy
@@ -186,145 +188,92 @@ def chain_to_ribbon(ms: MonodromySet):
     """Rebuild the weighted ribbon graph realizing a monodromy set, together
     with the tick assignment that reproduces the chain verbatim.
 
-    Boundary circles are lists of items ('t', tick) / ('g', germ); vertex i
-    owns germs 4(i-1)..4(i-1)+3 in counterclockwise order
-    (exit-to-x, arrive-before-x, exit-to-y, arrive-before-y).
+    The boundary circles are successor pointers nxt over items: tick t is
+    item t, and germ k is item d + k.  Vertex i owns germs 4(i-1)..4(i-1)+3
+    in counterclockwise order (out_x, in_x, out_y, in_y).  The pointers start
+    as nxt = sigma_0, one white disk per cycle.  Step i with tau_i = (x y)
+    sets six links,
+
+        prev[x] -> in_x -> out_y -> y    and    prev[y] -> in_y -> out_x -> x,
+
+    so the tick that ran on to x now runs on to y and the one that ran on to
+    y now runs on to x: the ticks follow tau_i . sigma_{i-1} = sigma_i.  It
+    is one rule for a cut and a join.  When x and y lie on one circle the
+    two new paths close up separately, x back to prev[y] and y back to
+    prev[x], and the circle is cut in two; on two circles each path runs on
+    into the other circle and they join into one.
+
+    Reading the map: from each out-germ, nxt runs over the ticks of one edge
+    and stops at the germ where the edge arrives, an in-germ (an in-germ is
+    always followed by an out-germ, so every tick after a germ is met).  Out
+    germs bound gray faces and in-germs white ones.  A white face keeps the
+    ticks of its cycle of sigma_0, a gray face those of a cycle of sigma_r,
+    which is a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked;
+    each face takes the label of that cycle.
     """
     params = ms.params
-    if params.r == 0:
+    d, r = params.d, params.r
+    if r == 0:
         raise RZero("an r = 0 chain has no ribbon-graph realization")
-    circles = []
-    for cyc in ms.sigma0.cycles_by_label:
-        circles.append([("t", t) for t in cyc])
-
-    for i, tau in enumerate(ms.taus, start=1):
-        if not is_transposition(tau):
-            raise InvalidChain(f"step {i} is not a transposition")
+    if len(ms.taus) != r or {len(ms.sigma0.perm), len(ms.sigma_inf.perm)} != {d}:
+        raise InvalidChain(f"expected {r} transpositions on {d} points")
+    nxt = list(ms.sigma0.perm) + [None] * (4 * r)
+    prev = list(inverse(ms.sigma0.perm)) + [None] * (4 * r)
+    for i, tau in enumerate(ms.taus):
+        if len(tau) != d or not is_transposition(tau):
+            raise InvalidChain(f"step {i + 1} is not a transposition")
         x, y = [p for p, q in enumerate(tau) if p != q]
-        base = 4 * (i - 1)
-        out_x, in_x, out_y, in_y = base, base + 1, base + 2, base + 3
+        out_x, in_x, out_y, in_y = range(d + 4 * i, d + 4 * i + 4)
+        links = (
+            (prev[x], in_x), (in_x, out_y), (out_y, y),
+            (prev[y], in_y), (in_y, out_x), (out_x, x),
+        )
+        for a, b in links:
+            nxt[a] = b
+            prev[b] = a
+    if compose(ms.sigma_inf.perm, sigma_chain(ms)[-1]) != tuple(range(d)):
+        raise InvalidChain("sigma_inf . sigma_r is not the identity")
 
-        cx = next(k for k, c in enumerate(circles) if ("t", x) in c)
-        cy = next(k for k, c in enumerate(circles) if ("t", y) in c)
-        if cx != cy:
-            a = circles[cx]
-            b = circles[cy]
-            pa = a.index(("t", x))
-            pb = b.index(("t", y))
-            merged = (
-                a[pa:]
-                + a[:pa]
-                + [("g", in_x), ("g", out_y)]
-                + b[pb:]
-                + b[:pb]
-                + [("g", in_y), ("g", out_x)]
-            )
-            circles = [
-                c for k, c in enumerate(circles) if k not in (cx, cy)
-            ] + [merged]
-        else:
-            c = circles[cx]
-            pa = c.index(("t", x))
-            rotated = c[pa:] + c[:pa]
-            pb = rotated.index(("t", y))
-            first = rotated[:pb] + [("g", in_y), ("g", out_x)]
-            second = rotated[pb:] + [("g", in_x), ("g", out_y)]
-            circles = [
-                cc for k, cc in enumerate(circles) if k != cx
-            ] + [first, second]
-
-    return _assemble(ms, circles)
-
-
-def _assemble(ms: MonodromySet, circles):
-    params = ms.params
-    r = params.r
     n_darts = 4 * r
-    rotation = [0] * n_darts
-    for i in range(r):
-        b = 4 * i
-        rotation[b] = b + 1
-        rotation[b + 1] = b + 2
-        rotation[b + 2] = b + 3
-        rotation[b + 3] = b
-
     involution = [None] * n_darts
-    edge_ticks = {}
-    for circle in circles:
-        germs = [k for k, item in enumerate(circle) if item[0] == "g"]
-        if not germs:
-            raise InvalidChain("a boundary circle never met a vertex")
-        L = len(circle)
-        for start in germs:
-            kind = circle[start][1] % 4
-            if kind not in (0, 2):  # walk exits via out-germs only
-                continue
-            out_germ = circle[start][1]
-            ticks = []
-            pos = (start + 1) % L
-            while circle[pos][0] == "t":
-                ticks.append(circle[pos][1])
-                pos = (pos + 1) % L
-            in_germ = circle[pos][1]
-            if in_germ % 4 not in (1, 3):
-                raise InvalidChain("malformed boundary: out-germ meets out-germ")
-            involution[out_germ] = in_germ
-            involution[in_germ] = out_germ
-            edge_ticks[(min(out_germ, in_germ), max(out_germ, in_germ))] = (
-                out_germ,
-                tuple(ticks),
-            )
-    if any(v is None for v in involution):
-        raise InvalidChain("unmatched germs in the boundary complex")
-
-    cmap = CombinatorialMap(tuple(rotation), tuple(involution))
-    vertex_label = tuple(x // 4 + 1 for x in range(n_darts))
-
-    # faces: out-germ orbits are gray, in-germ orbits white
-    face_list = cmap.face_orbits
-    colors = []
-    for f in face_list:
-        kinds = {x % 4 for x in f}
-        if kinds <= {0, 2}:
-            colors.append("gray")
-        elif kinds <= {1, 3}:
-            colors.append("white")
-        else:
-            raise InvalidChain("face mixes walk directions; chain is invalid")
-
-    # labels: match each face's tick set against the labeled end cycles
-    white_sets = {
-        frozenset(c): lab + 1
-        for lab, c in enumerate(ms.sigma0.cycles_by_label)
-    }
-    gray_sets = {
-        frozenset(c): lab + 1
-        for lab, c in enumerate(ms.sigma_inf.cycles_by_label)
-    }
-    invol = cmap.edge_involution
-    tick_of_out = {out: ts for (out, ts) in edge_ticks.values()}
-    labels = []
-    for f, col in zip(face_list, colors):
+    ticks_of = {}  # out-germ -> ticks of its edge, along the edge
+    for out in range(0, n_darts, 2):
         ticks = []
-        if col == "gray":
-            for x in f:
-                ticks.extend(tick_of_out[x])
-            labels.append(gray_sets[frozenset(ticks)])
-        else:
-            for x in f:
-                ticks.extend(tick_of_out[invol[x]])
-            labels.append(white_sets[frozenset(ticks)])
+        item = nxt[d + out]
+        while item < d:
+            ticks.append(item)
+            item = nxt[item]
+        if (item - d) % 2 == 0:
+            raise InvalidChain("malformed boundary: out-germ meets out-germ")
+        involution[out] = item - d
+        involution[item - d] = out
+        ticks_of[out] = tuple(ticks)
+    if sum(map(len, ticks_of.values())) != d:
+        raise InvalidChain("a boundary circle never met a vertex")
 
-    skeleton = MNRRibbonGraph(cmap, vertex_label, tuple(colors), tuple(labels))
-    edges = skeleton.edges()
-    weights = []
-    per_edge = []
-    for e in edges:
-        out_germ, ticks = edge_ticks[e]
-        weights.append(len(ticks))
-        per_edge.append(ticks)
-    hrg = HurwitzRibbonGraph(skeleton, tuple(weights), params)
-    return hrg, TickAssignment(tuple(per_edge))
+    rotation = tuple(x - x % 4 + (x + 1) % 4 for x in range(n_darts))
+    cmap = CombinatorialMap(rotation, tuple(involution))
+    white = {frozenset(c): k for k, c in enumerate(ms.sigma0.cycles_by_label, 1)}
+    gray = {frozenset(c): k for k, c in enumerate(ms.sigma_inf.cycles_by_label, 1)}
+    colors = []
+    labels = []
+    for face in cmap.face_orbits:
+        if face[0] % 2 == 0:  # out-germs: the face on the walker's right
+            colors.append("gray")
+            labels.append(gray[frozenset(t for x in face for t in ticks_of[x])])
+        else:
+            colors.append("white")
+            ticks = frozenset(t for x in face for t in ticks_of[involution[x]])
+            labels.append(white[ticks])
+
+    vertex_label = tuple(x // 4 + 1 for x in range(n_darts))
+    per_edge = tuple(ticks_of[x if x % 2 == 0 else y] for x, y in cmap.edges())
+    try:  # a chain that is not transitive, or labels that miss mu or nu
+        skeleton = MNRRibbonGraph(cmap, vertex_label, tuple(colors), tuple(labels))
+        hrg = HurwitzRibbonGraph(skeleton, tuple(map(len, per_edge)), params)
+    except ValueError as e:
+        raise InvalidChain(str(e)) from e
+    return hrg, TickAssignment(per_edge)
 
 
 # ---------------------------------------------------------------------------

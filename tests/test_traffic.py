@@ -1,7 +1,13 @@
+import functools
+import hashlib
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import all_params
 from hurwitz.core import InvalidChain, RZero, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
@@ -115,6 +121,128 @@ def test_chain_to_ribbon_rejects_non_transposition_steps():
     )
     with pytest.raises(InvalidChain):
         T.chain_to_ribbon(bad)
+
+
+def _first_class(g, mu, nu):
+    params = hurwitz_params(g, mu, nu)
+    return P.monodromy_classes(params)[0][0], params
+
+
+def test_chain_to_ribbon_rejects_wrong_chain_length():
+    ms, params = _first_class(0, (2, 1), (2, 1))
+    for taus in (ms.taus[:1], ms.taus + (P.transposition(3, 0, 1),) * 2):
+        bad = P.MonodromySet(ms.sigma0, taus, ms.sigma_inf, params)
+        with pytest.raises(InvalidChain, match="expected 2 transpositions"):
+            T.chain_to_ribbon(bad)
+
+
+def test_chain_to_ribbon_rejects_sigma_inf_off_the_product():
+    # (1 3)[1](2)[2] replaced by (2 3)[1](1)[2], a permutation of the same
+    # type
+    ms, params = _first_class(0, (2, 1), (2, 1))
+    sigma_inf = P.LabeledPermutation((0, 2, 1), ((1, 2), (0,)))
+    bad = P.MonodromySet(ms.sigma0, ms.taus, sigma_inf, params)
+    with pytest.raises(InvalidChain, match="is not the identity"):
+        T.chain_to_ribbon(bad)
+    # (1 3 2)[1] replaced by (1 2 3)[1]: the same tick set, run backwards
+    ms, params = _first_class(0, (2, 1), (3,))
+    assert ms.sigma_inf.cycles_by_label == ((0, 2, 1),)
+    sigma_inf = P.LabeledPermutation((1, 2, 0), ((0, 1, 2),))
+    bad = P.MonodromySet(ms.sigma0, ms.taus, sigma_inf, params)
+    with pytest.raises(InvalidChain, match="is not the identity"):
+        T.chain_to_ribbon(bad)
+
+
+def test_chain_to_ribbon_rejects_circle_without_vertex():
+    # tick 3 is fixed by every step, so its circle meets no vertex
+    params = hurwitz_params(0, (1, 1, 1), (1, 1, 1))
+    e = P.LabeledPermutation(P.identity(3), ((0,), (1,), (2,)))
+    bad = P.MonodromySet(e, (P.transposition(3, 0, 1),) * 4, e, params)
+    with pytest.raises(InvalidChain, match="never met a vertex"):
+        T.chain_to_ribbon(bad)
+
+
+def test_chain_to_ribbon_rejects_what_no_ribbon_graph_realizes():
+    # two orbits, {1, 2} and {3, 4}, each met by two vertices
+    params = hurwitz_params(1, (2, 2), (2, 2))
+    s = P.LabeledPermutation((1, 0, 3, 2), ((0, 1), (2, 3)))
+    a, b = P.transposition(4, 0, 1), P.transposition(4, 2, 3)
+    with pytest.raises(InvalidChain, match="connected"):
+        T.chain_to_ribbon(P.MonodromySet(s, (a, a, b, b), s, params))
+    # sigma_0's labels swapped, so they realize (1, 2), not mu = (2, 1)
+    ms, params = _first_class(0, (2, 1), (2, 1))
+    swapped = P.LabeledPermutation(ms.sigma0.perm, ms.sigma0.cycles_by_label[::-1])
+    bad = P.MonodromySet(swapped, ms.taus, ms.sigma_inf, params)
+    with pytest.raises(InvalidChain, match="balanced"):
+        T.chain_to_ribbon(bad)
+
+
+def test_chain_to_ribbon_pinned():
+    """Every class representative with d <= 4 and r <= 4, as JSON lines
+    [hrg.serialize(), ticks.per_edge]; the digest was taken from the
+    construction that spliced and split boundary lists."""
+    h = hashlib.sha256()
+    count = 0
+    for params in all_params(4, 4):
+        for ms, _aut in P.monodromy_classes(params):
+            hrg, ticks = T.chain_to_ribbon(ms)
+            h.update((json.dumps([hrg.serialize(), ticks.per_edge]) + "\n").encode())
+            count += 1
+    assert count == 5576
+    assert h.hexdigest() == (
+        "a3032ce556a7d1c0e09eecb45aecdfd4525e79db519cd4ce49b8360e43b6ed09"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _class_representatives():
+    return [
+        ms for params in all_params(4, 4) for ms, _aut in P.monodromy_classes(params)
+    ]
+
+
+def _relabeled_set(ms, pi):
+    """ms conjugated by pi: every entry becomes pi . p . pi^-1, each labeled
+    cycle is mapped by pi and rotated to start at its minimum."""
+    inv_pi = P.inverse(pi)
+
+    def conj(p):
+        return P.compose(pi, P.compose(p, inv_pi))
+
+    def labeled(lp):
+        moved = []
+        for c in lp.cycles_by_label:
+            c = [pi[t] for t in c]
+            k = c.index(min(c))
+            moved.append(tuple(c[k:] + c[:k]))
+        return P.LabeledPermutation(conj(lp.perm), tuple(moved))
+
+    return P.MonodromySet(
+        labeled(ms.sigma0), tuple(map(conj, ms.taus)), labeled(ms.sigma_inf), ms.params
+    )
+
+
+@st.composite
+def relabeled_class(draw):
+    """A class representative with d <= 4 and r <= 4 and a relabeling pi."""
+    ms = draw(st.sampled_from(_class_representatives()))
+    pi = draw(st.permutations(range(ms.params.d)))
+    return ms, tuple(pi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_class())
+def test_chain_to_ribbon_commutes_with_relabeling(data):
+    # pi can swap the roles of x and y at a vertex, so the two graphs are
+    # isomorphic rather than equal; the relabeled chain, labels included,
+    # comes back verbatim
+    ms, pi = data
+    moved = _relabeled_set(ms, pi)
+    moved.validate()
+    hrg, _ = T.chain_to_ribbon(ms)
+    moved_hrg, moved_ticks = T.chain_to_ribbon(moved)
+    assert moved_hrg.canonical_key() == hrg.canonical_key()
+    assert T.ribbon_to_monodromy(moved_hrg, moved_ticks) == moved
 
 
 def test_roundtrip_identity_small(small_params):
