@@ -7,11 +7,13 @@ wall-clock timings are only emitted behind --timings.
 
 At start-up this module imports only ``core``: each command imports the
 pipelines it runs when it first needs them, so ``compute --method
-permutation`` never loads the ribbon, tropical or traffic modules, and a
-refusal (r = 0 for a graph method, r >= 6 for the ribbon method) exits
-before any pipeline loads.  ``METHODS`` and ``roundtrip_check`` are module
-attributes holding callables and are looked up at each call, so a caller may
-replace them.
+permutation`` never loads the ribbon, tropical or traffic modules.  Every
+command first names the methods it runs and passes each through
+``core.check_method_r``, so a refusal (r = 0 for a graph method, r >= 6 for
+the ribbon method) exits 1 before any pipeline loads.  ``METHODS`` and
+``roundtrip_check`` are module attributes holding callables and are looked
+up at each call, so a caller may replace them; the listing functions named
+in ``LISTINGS`` are looked up on their module at each call.
 
 HURWITZ_THREADS caps the verify sweep's worker processes (0 = one per CPU,
 unset = serial); any other value than a nonnegative integer is an error.
@@ -29,8 +31,7 @@ import time
 from .core import (
     HurwitzError,
     Partition,
-    check_graph_r,
-    check_ribbon_r,
+    check_method_r,
     format_rational,
     hurwitz_params,
     sweep_params,
@@ -60,6 +61,17 @@ METHODS = {
 }
 roundtrip_check = _deferred("traffic", "roundtrip_check")
 
+# Keyed by --kind: (module, function, JSON key of the listed object).  The
+# module is also the method whose range the listing needs.  Monodromy sets
+# have no key: they carry no aut and have no DOT form.
+LISTINGS = {
+    "monodromy-sets": ("permutation", "enumerate_monodromy_sets", None),
+    "skeletons": ("ribbon", "enumerate_skeletons", "skeleton"),
+    "hrgs": ("ribbon", "hurwitz_ribbon_classes", "hrg"),
+    "tropical-graphs": ("tropical", "enumerate_tropical_graphs", "graph"),
+    "monodromy-graphs": ("tropical", "monodromy_graph_classes", "graph"),
+}
+
 
 def _emit(doc) -> None:
     sys.stdout.write(json.dumps(doc) + "\n")
@@ -86,10 +98,7 @@ def cmd_compute(args) -> int:
         params = _params_from(args)
         # refuse before any count, so no method's work is thrown away
         for name in wanted:
-            if name != "permutation":
-                check_graph_r(params.r, name)
-        if "ribbon" in wanted:
-            check_ribbon_r(params.r)
+            check_method_r(name, params.r)
     except (HurwitzError, ValueError) as exc:
         return _fail(str(exc))
     values = {}
@@ -114,56 +123,31 @@ def cmd_compute(args) -> int:
 
 def cmd_enumerate(args) -> int:
     kind = args.kind
-    as_dot = args.format == "dot"
+    module, function, key = LISTINGS[kind]
     try:
         if kind in ("skeletons", "tropical-graphs"):
             if args.m is None or args.n is None or args.r is None:
                 return _fail(f"--kind {kind} needs --m, --n and --r")
-            if args.r < 1:
-                return _fail("r >= 1 required")
+            check_method_r(module, args.r)
             if args.m < 1 or args.n < 1:
                 return _fail(f"--kind {kind} needs --m >= 1 and --n >= 1")
-            if kind == "skeletons":
-                from .ribbon import enumerate_skeletons
-
-                for skel, aut in enumerate_skeletons(args.m, args.n, args.r):
-                    if as_dot:
-                        sys.stdout.write(skel.to_dot() + "\n")
-                    else:
-                        _emit({"skeleton": skel.serialize(), "aut": aut})
-            else:
-                from .tropical import enumerate_tropical_graphs
-
-                for graph, aut in enumerate_tropical_graphs(args.m, args.n, args.r):
-                    if as_dot:
-                        sys.stdout.write(graph.to_dot() + "\n")
-                    else:
-                        _emit({"graph": graph.serialize(), "aut": aut})
-            return 0
-        params = _params_from(args)
-        if kind == "monodromy-sets":
+            listing_args = (args.m, args.n, args.r)
+        else:
+            params = _params_from(args)
+            check_method_r(module, params.r)
+            listing_args = (params,)
+        as_dot = args.format == "dot"
+        if as_dot and key is None:
+            return _fail("monodromy sets have no DOT form")
+        for item in getattr(_pipeline(module), function)(*listing_args):
+            if key is None:
+                _emit(item.serialize())
+                continue
+            obj, aut = item
             if as_dot:
-                return _fail("monodromy sets have no DOT form")
-            from .permutation import enumerate_monodromy_sets
-
-            for ms in enumerate_monodromy_sets(params):
-                _emit(ms.serialize())
-        elif kind == "hrgs":
-            from .ribbon import hurwitz_ribbon_classes
-
-            for hrg, aut in hurwitz_ribbon_classes(params):
-                if as_dot:
-                    sys.stdout.write(hrg.to_dot() + "\n")
-                else:
-                    _emit({"hrg": hrg.serialize(), "aut": aut})
-        elif kind == "monodromy-graphs":
-            from .tropical import monodromy_graph_classes
-
-            for mg, aut in monodromy_graph_classes(params):
-                if as_dot:
-                    sys.stdout.write(mg.to_dot() + "\n")
-                else:
-                    _emit({"graph": mg.serialize(), "aut": aut})
+                sys.stdout.write(obj.to_dot() + "\n")
+            else:
+                _emit({key: obj.serialize(), "aut": aut})
         return 0
     except (HurwitzError, ValueError) as exc:
         return _fail(str(exc))
@@ -205,7 +189,8 @@ def cmd_verify(args) -> int:
     if args.max_d < 1 or args.max_r < 1:
         return _fail("--max-d and --max-r must be >= 1")
     try:
-        check_ribbon_r(args.max_r)
+        for name in METHODS:
+            check_method_r(name, args.max_r)
         workers = worker_count()
     except (HurwitzError, ValueError) as exc:
         return _fail(str(exc))
@@ -275,6 +260,7 @@ def cmd_chambers(args) -> int:
 def cmd_roundtrip(args) -> int:
     try:
         params = _params_from(args)
+        check_method_r("ribbon", params.r)
         rep = roundtrip_check(params)
     except (HurwitzError, ValueError) as exc:
         return _fail(str(exc))
@@ -295,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--nu", required=True)
     c.add_argument(
         "--method",
-        choices=["permutation", "ribbon", "tropical", "all"],
+        choices=[*METHODS, "all"],
         default="all",
     )
     c.add_argument("--timings", action="store_true", help="include wall-clock timings")
@@ -304,13 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="list combinatorial objects, one per line")
     e.add_argument(
         "--kind",
-        choices=[
-            "monodromy-sets",
-            "skeletons",
-            "hrgs",
-            "tropical-graphs",
-            "monodromy-graphs",
-        ],
+        choices=list(LISTINGS),
         required=True,
     )
     e.add_argument("--genus", type=int)

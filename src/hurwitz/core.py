@@ -138,9 +138,9 @@ class HurwitzParams:
     """Validated parameter triple (g, mu, nu) with the derived quantities.
 
     Invariants: sum(mu) == sum(nu) == d and r == 2g - 2 + m + n >= 0.
-    r == 0 is legal here (the case g = 0, mu = nu = (d)); the graph-based
-    counting methods reject it separately because a graph with zero vertices
-    is degenerate.
+    r == 0 is legal here (the case g = 0, mu = nu = (d)); check_method_r
+    rejects it for the graph-based methods, because a graph with zero
+    vertices is degenerate.
     """
 
     g: int
@@ -178,16 +178,6 @@ class HurwitzParams:
         }
 
 
-def check_graph_r(r: int, method: str) -> None:
-    """Raise RZero if a graph-based method is asked for r = 0, which only
-    the permutation method represents."""
-    if r == 0:
-        raise RZero(
-            f"the {method} method needs r >= 1; the permutation method "
-            "(compute --method permutation) answers r = 0"
-        )
-
-
 # Largest r the ribbon method accepts.  Its tables hold the connected maps on
 # 2r darts up to per-edge swaps with m vertices and n faces: at most 20,640
 # records at r = 5, built in under a second, but about 12!/2^6 = 7.5 M over
@@ -195,9 +185,22 @@ def check_graph_r(r: int, method: str) -> None:
 MAX_RIBBON_R = 5
 
 
-def check_ribbon_r(r: int) -> None:
-    """Raise Infeasible if the ribbon method cannot build the tables for r."""
-    if r > MAX_RIBBON_R:
+def check_method_r(method: str, r: int) -> None:
+    """Raise unless the method ("permutation", "ribbon" or "tropical") can
+    answer at r; the message names a method that can.
+
+    Only the permutation method represents r = 0 (a graph needs r >= 1
+    vertices): RZero for the others.  The ribbon method stops at
+    MAX_RIBBON_R: Infeasible beyond it.  This is the one range check; the
+    CLI runs it before it loads a pipeline, and the pipelines' count and
+    listing entries run it before they build anything.
+    """
+    if r < 1 and method != "permutation":
+        raise RZero(
+            f"the {method} method needs r >= 1; the permutation method "
+            "(compute --method permutation) answers r = 0"
+        )
+    if method == "ribbon" and r > MAX_RIBBON_R:
         raise Infeasible(
             f"the ribbon method needs r <= {MAX_RIBBON_R}, got r = {r}; "
             "no method lists skeletons or ribbon classes there, but the "

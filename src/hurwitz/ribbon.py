@@ -47,8 +47,7 @@ from .core import (
     HurwitzParams,
     NonIntegerGenus,
     Partition,
-    check_graph_r,
-    check_ribbon_r,
+    check_method_r,
 )
 
 
@@ -230,14 +229,6 @@ class MNRRibbonGraph:
     def r(self) -> int:
         return self.map.num_darts // 4
 
-    @property
-    def num_white(self) -> int:
-        return sum(1 for c in self.face_color if c == "white")
-
-    @property
-    def num_gray(self) -> int:
-        return sum(1 for c in self.face_color if c == "gray")
-
     def genus(self) -> int:
         return self.map.genus()
 
@@ -258,22 +249,6 @@ class MNRRibbonGraph:
         x = self.natural_dart(edge)
         y = self.map.edge_involution[x]
         return self.vertex_label[x], self.vertex_label[y]
-
-    def white_faces(self) -> list:
-        """(label, dart orbit) for each white face, by label."""
-        return self._faces_of_color("white")
-
-    def gray_faces(self) -> list:
-        return self._faces_of_color("gray")
-
-    def _faces_of_color(self, color: str) -> list:
-        return sorted(
-            (lab, f)
-            for f, col, lab in zip(
-                self.map.face_orbits, self.face_color, self.face_label
-            )
-            if col == color
-        )
 
     # Every weighting of one skeleton is checked against the same face rows
     # and bounds, so they are worked out once, like the map's orbits; the
@@ -558,7 +533,6 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
     bucket's leaves are reached, in the same order as in a search over all
     buckets.
     """
-    check_ribbon_r(r)
     nd = 2 * r
     tables = _swap_tables(r)
     out = []
@@ -743,8 +717,7 @@ def skeletons_valid(m: int, n: int, r: int) -> bool:
 def enumerate_skeletons(m: int, n: int, r: int):
     """One representative per isomorphism class of (m, n, r)-ribbon graphs,
     with automorphism group orders; deterministic order."""
-    if r < 1:
-        raise ValueError("skeletons need r >= 1")
+    check_method_r("ribbon", r)
     out = []
     if not skeletons_valid(m, n, r):
         return out
@@ -880,7 +853,7 @@ def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
     (_cell_totals).  Every |S| divides 2^r, so the sum stays an integer over
     the common denominator 2^r.
     """
-    check_graph_r(params.r, "ribbon")
+    check_method_r("ribbon", params.r)
     r = params.r
     labelings = 1
     for parts in (params.mu.parts, params.nu.parts):
@@ -904,7 +877,7 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     The weight tuple of the built object is re-indexed from sigma darts to
     skeleton edge order.
     """
-    check_graph_r(params.r, "ribbon")
+    check_method_r("ribbon", params.r)
     mu, nu = params.mu, params.nu
     out = []
     for record, cells, white_orders, gray_orders in _weighted_records(params):

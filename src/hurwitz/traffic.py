@@ -40,6 +40,7 @@ from .core import (
     InvalidChain,
     NonterminatingTrace,
     RZero,
+    check_method_r,
 )
 from .permutation import (
     LabeledPermutation,
@@ -84,13 +85,19 @@ def canonical_ticks(h: HurwitzRibbonGraph) -> TickAssignment:
 
 
 def step_circles(g: MNRRibbonGraph):
-    """(circles of every step walk, edge index of each natural dart); the
-    dict lists the natural darts in edge order.
+    """(circles of every step walk, white circles, gray circles, edge index
+    of each natural dart); the dict lists the natural darts in edge order.
 
     Step i = 0..r walks the natural darts: arriving at a vertex through dart
     b it leaves along rotation^-1(b) (a left turn) when the vertex label
     exceeds i, and along rotation(b) (a right turn) otherwise.  Entry i lists
     that walk's orbits, each from its minimum dart, by increasing minimum.
+
+    Step 0 turns left everywhere, so each of its circles runs along the
+    white face on the walker's left, the face of the reversed dart; step r
+    turns right everywhere and runs along the gray face of its darts.  The
+    white and gray lists hold those circles by face label: entry k - 1 runs
+    along the face labeled k.
     """
     rot = g.map.rotation
     invol = g.map.edge_involution
@@ -120,7 +127,10 @@ def step_circles(g: MNRRibbonGraph):
             seen.update(orbit)
             circles.append(tuple(orbit))
         steps.append(circles)
-    return steps, edge_of_nat
+    face_of, label = g.face_of_dart, g.face_label
+    whites = sorted(steps[0], key=lambda c: label[face_of[invol[c[0]]]])
+    grays = sorted(steps[-1], key=lambda c: label[face_of[c[0]]])
+    return steps, whites, grays, edge_of_nat
 
 
 def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> MonodromySet:
@@ -132,12 +142,14 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     for w, ts in zip(h.weights, ticks.per_edge):
         if len(ts) != w:
             raise ValueError("tick counts must equal edge weights")
-    steps, edge_of_nat = step_circles(g)
-    invol = g.map.edge_involution
-    face_of = g.face_of_dart
+    steps, whites, grays, edge_of_nat = step_circles(g)
 
     def ticks_on(circle) -> list:
         return [t for x in circle for t in ticks.per_edge[edge_of_nat[x]]]
+
+    def from_min(seq) -> tuple:
+        k = seq.index(min(seq))
+        return tuple(seq[k:] + seq[:k])
 
     perms = []
     for i, circles in enumerate(steps):
@@ -152,14 +164,14 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
                 images[a] = b
         perms.append(tuple(images))
 
-    # sigma_0 labels: circle hugging white face F <-> label of F;
-    # sigma_inf labels: circle running along gray face F <-> label of F
-    whites = {
-        frozenset(ticks_on(c)): g.face_label[face_of[invol[c[0]]]] for c in steps[0]
-    }
-    sigma0 = _label_by_sets(perms[0], whites, h.params.m)
-    grays = {frozenset(ticks_on(c)): g.face_label[face_of[c[0]]] for c in steps[-1]}
-    sigma_inf = _label_by_sets(inverse(perms[-1]), grays, h.params.n)
+    # sigma_0's cycle k runs along the white face labeled k; sigma_inf,
+    # the inverse of sigma_r, runs backwards along the gray faces
+    sigma0 = LabeledPermutation(
+        perms[0], tuple(from_min(ticks_on(c)) for c in whites)
+    )
+    sigma_inf = LabeledPermutation(
+        inverse(perms[-1]), tuple(from_min(ticks_on(c)[::-1]) for c in grays)
+    )
 
     taus = []
     for prev, cur in zip(perms, perms[1:]):
@@ -171,13 +183,6 @@ def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> Monodro
     ms = MonodromySet(sigma0, tuple(taus), sigma_inf, h.params)
     ms.validate()
     return ms
-
-
-def _label_by_sets(perm, label_of_set: dict, count: int) -> LabeledPermutation:
-    by_label = [None] * count
-    for c in cycles(perm):
-        by_label[label_of_set[frozenset(c)] - 1] = c
-    return LabeledPermutation(perm, tuple(by_label))
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +335,10 @@ def monodromy_graph_of_chain(ms: MonodromySet) -> MonodromyGraph:
     return MonodromyGraph(graph, tuple(len(c) for c in behind), ms.params)
 
 
-def tropicalize(h: HurwitzRibbonGraph, ticks: TickAssignment | None = None) -> MonodromyGraph:
+def tropicalize(h: HurwitzRibbonGraph) -> MonodromyGraph:
     """Run the traffic algorithm and collapse each circle to a tropical edge;
     the flow is the circle's total weight (its number of tick marks)."""
-    if ticks is None:
-        ticks = canonical_ticks(h)
-    return monodromy_graph_of_chain(ribbon_to_monodromy(h, ticks))
+    return monodromy_graph_of_chain(ribbon_to_monodromy(h, canonical_ticks(h)))
 
 
 def tropicalization_matrix(skeleton: MNRRibbonGraph):
@@ -348,16 +351,11 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
     edge at most once, and row k of the matrix, for edge k of the returned
     graph, is the circle's 0/1 edge-incidence vector.
     """
-    steps, edge_of_nat = step_circles(skeleton)
-    invol = skeleton.map.edge_involution
-    face_of = skeleton.face_of_dart
-    label = skeleton.face_label
-    whites = {label[face_of[invol[c[0]]]]: frozenset(c) for c in steps[0]}
-    grays = {label[face_of[c[0]]]: frozenset(c) for c in steps[-1]}
+    steps, whites, grays, edge_of_nat = step_circles(skeleton)
     graph, behind = _collapse(
         [{frozenset(c) for c in circles} for circles in steps],
-        [whites[k] for k in sorted(whites)],
-        [grays[j] for j in sorted(grays)],
+        [frozenset(c) for c in whites],
+        [frozenset(c) for c in grays],
     )
     # edge_of_nat lists the natural darts in edge order
     return graph, tuple(tuple(int(x in c) for x in edge_of_nat) for c in behind)
@@ -437,8 +435,7 @@ def roundtrip_check(params: HurwitzParams) -> RoundtripReport:
     classes is a bijection preserving automorphism group orders."""
     from .ribbon import hurwitz_ribbon_classes
 
-    if params.r == 0:
-        raise RZero("the roundtrip needs r >= 1")
+    check_method_r("ribbon", params.r)
     hrg_classes = hurwitz_ribbon_classes(params)
     perm_classes = monodromy_classes(params)
     perm_by_key = {monodromy_class_key(ms): aut for ms, aut in perm_classes}

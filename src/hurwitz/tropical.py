@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import HurwitzParams, Partition, check_graph_r
+from .core import HurwitzParams, Partition, check_method_r
 
 
 def _node_key(node) -> str:
@@ -207,8 +207,7 @@ def enumerate_tropical_graphs(m: int, n: int, r: int) -> tuple:
     assignments at a leaf, are distinct by origin.  So two different walks
     first differ in the in-edges of some internal vertex or sink.
     """
-    if r < 1:
-        raise ValueError("tropical graphs need r >= 1")
+    check_method_r("tropical", r)
     graphs = []
 
     def step(i, edges, opens, parts):
@@ -292,7 +291,7 @@ def flow_lattice_points(t: TropicalGraph, mu: Partition, nu: Partition) -> list:
 
 def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
     """Weighted sum of multiplicity/|Aut| over all monodromy graphs."""
-    check_graph_r(params.r, "tropical")
+    check_method_r("tropical", params.r)
     total = Fraction(0)
     for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
         interior = graph.interior_edge_indices()
@@ -307,7 +306,7 @@ def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
 def monodromy_graph_classes(params: HurwitzParams):
     """Isomorphism classes of monodromy graphs as (MonodromyGraph, aut_order)
     where aut_order is the stabilizer of the flow vector in Aut(graph)."""
-    check_graph_r(params.r, "tropical")
+    check_method_r("tropical", params.r)
     out = []
     for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
         classes = {}

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import io
 import json
 import sys
@@ -194,10 +195,11 @@ def test_enumerate_dot_format():
     )
     assert code == 0
     assert out.startswith("digraph")
-    code, _, _ = run_cli(
+    code, out, err = run_cli(
         ["enumerate", "--kind", "monodromy-sets", "--genus", "1", "--mu", "2", "--nu", "2", "--format", "dot"]
     )
-    assert code == 1
+    assert code == 1 and out == ""
+    assert err == "error: monodromy sets have no DOT form\n"
 
 
 def test_enumerate_deterministic():
@@ -205,6 +207,47 @@ def test_enumerate_deterministic():
     _, out1, _ = run_cli(argv)
     _, out2, _ = run_cli(argv)
     assert out1 == out2 and len(out1.strip().splitlines()) == 24
+
+
+# (arguments, lines, sha256) of `enumerate` stdout, taken while each kind
+# still had its own branch in cmd_enumerate: the README example of each kind
+# in JSON and DOT, and one r = 4 case per graph kind in DOT.
+_LISTING_PINS = [
+    ("--kind monodromy-sets --genus 1 --mu 2 --nu 2", 1,
+     "a7eba07d81f653b0a16f6cc623549f30a172a085c061d32bf1db8996ccd4125f"),
+    ("--kind skeletons --m 2 --n 1 --r 1", 1,
+     "4744de02f4963e9c3e5c2b6183cdcae53ce7ed1dc3a4baf1e7ca3b70a7220def"),
+    ("--kind hrgs --genus 0 --mu 1,1 --nu 2", 1,
+     "48cab1d0fd27470330264e5d4811e915ef8dc0f689e260e92f285e4e252588bc"),
+    ("--kind tropical-graphs --m 2 --n 2 --r 2", 5,
+     "b90023d07cd2b1565772d003385caa06fa508cffe8c265766ca640977e069428"),
+    ("--kind monodromy-graphs --genus 0 --mu 2,1 --nu 2,1", 2,
+     "1977cd1b1f90f273199f697b6afda2c8d2144f87695dfbf87f9d4e061d375a03"),
+    ("--kind skeletons --m 2 --n 1 --r 1 --format dot", 5,
+     "4220cb11f93f4804d0562dbde2bb57ef44e5742b0570d2d1844bdc824de92072"),
+    ("--kind hrgs --genus 0 --mu 1,1 --nu 2 --format dot", 5,
+     "ea31aaf5d9d5f33eece72ca4df52b92b38d90df36b6bb0fc4ac990cf3d1e992d"),
+    ("--kind tropical-graphs --m 2 --n 2 --r 2 --format dot", 70,
+     "e4b3708eaa653363cd5bc4b652ac4eb86bb2d60753cbf967101228282bebe8b6"),
+    ("--kind monodromy-graphs --genus 0 --mu 2,1 --nu 2,1 --format dot", 28,
+     "42702c74830695218684a6d5199f008d308047a1e2fb62705e9f550fb90121e1"),
+    ("--kind skeletons --m 2 --n 2 --r 4 --format dot", 28056,
+     "d78f3065da04b40f7c9de1cc8d3c881a7ef2a40108bd4763baa4bd5a05a9fe72"),
+    ("--kind hrgs --genus 1 --mu 2,1 --nu 2,1 --format dot", 560,
+     "03c214a5508c90c4ac3e3c30c5eb42dee60644467b2acfba35b235846edfa896"),
+    ("--kind tropical-graphs --m 2 --n 2 --r 4 --format dot", 1691,
+     "6798625b6e869cdb9cb9fd070435c193c6285877a14f6bf32bc15d2642ed417a"),
+    ("--kind monodromy-graphs --genus 1 --mu 2,1 --nu 2,1 --format dot", 152,
+     "e4a30dc282f3b7c182ec49ffd40705b96076decae15678f144f5dd755c2e2424"),
+]
+
+
+@pytest.mark.parametrize("args, lines, digest", _LISTING_PINS)
+def test_enumerate_output_is_pinned(args, lines, digest):
+    code, out, err = run_cli(["enumerate"] + args.split())
+    assert code == 0 and err == ""
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_small_sweep():

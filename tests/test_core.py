@@ -1,7 +1,19 @@
 import pytest
 from fractions import Fraction
 
-from hurwitz.core import DegreeMismatch, Partition, format_rational, hurwitz_params
+from hurwitz import ribbon as R
+from hurwitz import traffic as T
+from hurwitz import tropical as TR
+from hurwitz.core import (
+    MAX_RIBBON_R,
+    DegreeMismatch,
+    Infeasible,
+    Partition,
+    RZero,
+    check_method_r,
+    format_rational,
+    hurwitz_params,
+)
 
 
 def test_params_basic():
@@ -71,3 +83,52 @@ def test_rational_serialization():
     assert format_rational(Fraction(4, 2)) == "2"
     assert format_rational(Fraction(-3, 6)) == "-1/2"
     assert Fraction(format_rational(Fraction(7, 3))) == Fraction(7, 3)
+
+
+def test_check_method_r_admits_each_method_on_its_range():
+    for r in range(MAX_RIBBON_R + 3):
+        check_method_r("permutation", r)
+        if r >= 1:
+            check_method_r("tropical", r)
+        if 1 <= r <= MAX_RIBBON_R:
+            check_method_r("ribbon", r)
+    for method in ("ribbon", "tropical"):
+        with pytest.raises(RZero, match=f"the {method} method needs r >= 1"):
+            check_method_r(method, 0)
+    with pytest.raises(Infeasible, match="permutation and tropical"):
+        check_method_r("ribbon", MAX_RIBBON_R + 1)
+
+
+_R_ZERO = hurwitz_params(0, (2,), (2,))
+_R_SIX = hurwitz_params(2, (3, 1), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "entry, args, error, match",
+    [
+        (R.count_hurwitz_ribbon, (_R_ZERO,), RZero, "--method permutation"),
+        (R.hurwitz_ribbon_classes, (_R_ZERO,), RZero, "--method permutation"),
+        (R.enumerate_skeletons, (1, 1, 0), RZero, "--method permutation"),
+        (TR.count_hurwitz_tropical, (_R_ZERO,), RZero, "--method permutation"),
+        (TR.monodromy_graph_classes, (_R_ZERO,), RZero, "--method permutation"),
+        (TR.enumerate_tropical_graphs, (1, 1, 0), RZero, "--method permutation"),
+        (T.roundtrip_check, (_R_ZERO,), RZero, "--method permutation"),
+        (R.count_hurwitz_ribbon, (_R_SIX,), Infeasible, "r <= 5"),
+        (R.hurwitz_ribbon_classes, (_R_SIX,), Infeasible, "r <= 5"),
+        (R.enumerate_skeletons, (2, 2, 6), Infeasible, "r <= 5"),
+        (T.roundtrip_check, (_R_SIX,), Infeasible, "r <= 5"),
+    ],
+)
+def test_library_entries_refuse_through_the_one_check(entry, args, error, match):
+    """Each count and listing entry, and the roundtrip, refuses through
+    check_method_r before it builds a table or lists a graph."""
+    tables = R._base_map_classes.cache_info()
+    graphs = TR.enumerate_tropical_graphs.cache_info()
+    with pytest.raises(error, match=match):
+        entry(*args)
+    assert R._base_map_classes.cache_info() == tables
+    if entry is TR.enumerate_tropical_graphs:
+        # the cache counts the refused call as a miss but stores nothing
+        assert TR.enumerate_tropical_graphs.cache_info().currsize == graphs.currsize
+    else:
+        assert TR.enumerate_tropical_graphs.cache_info() == graphs

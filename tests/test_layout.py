@@ -104,13 +104,22 @@ _BASE = {"hurwitz", "hurwitz.core", "hurwitz.cli"}
         (["compute", "--method", "all", "--genus", "2", "--mu", "3,3", "--nu", "3,3"],
          set()),
         (["verify", "--max-d", "2", "--max-r", "6"], set()),
+        (["roundtrip", "--genus", "2", "--mu", "3,1", "--nu", "2,2"], set()),
+        (["roundtrip", "--genus", "0", "--mu", "2", "--nu", "2"], set()),
+        (["enumerate", "--kind", "skeletons", "--m", "1", "--n", "1", "--r", "6"],
+         set()),
+        (["enumerate", "--kind", "hrgs", "--genus", "0", "--mu", "2", "--nu", "2"],
+         set()),
+        (["enumerate", "--kind", "monodromy-graphs", "--genus", "0", "--mu", "2",
+          "--nu", "2"], set()),
         (["chambers", "--genus", "0", "--m", "1", "--n", "2", "--dmax", "4"],
          {"permutation", "chambers"}),
     ],
 )
 def test_cli_loads_only_the_pipelines_a_command_runs(argv, extra):
     """A command imports the pipelines it runs and no other; a refusal
-    (r = 6 for the ribbon method) exits before any pipeline loads."""
+    (r = 0 for a graph method, r = 6 for the ribbon method) exits before
+    any pipeline loads, whichever command makes it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])

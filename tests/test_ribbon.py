@@ -801,7 +801,8 @@ def test_medial_of_single_loop():
     cm = R.CombinatorialMap((1, 0), (1, 0))
     lm = LabeledMap(cm, (1, 1), (1, 2), (1,))
     med = medial_graph(lm)
-    assert (med.num_white, med.num_gray, med.r) == (1, 2, 1)
+    colors = med.face_color
+    assert (colors.count("white"), colors.count("gray"), med.r) == (1, 2, 1)
     assert med.genus() == 0
 
 
@@ -812,7 +813,9 @@ def test_medial_balancing_labels_consistent():
     vl = tuple(x // 2 + 1 for x in range(6))
     lm = LabeledMap(cm, vl, (1, 2), (1, 2, 3))
     med = medial_graph(lm)
-    for lab, orbit in med.white_faces():
+    for orbit, color, lab in zip(med.map.face_orbits, med.face_color, med.face_label):
+        if color != "white":
+            continue
         touched = {med.vertex_label[x] for x in orbit}
         incident_edges = {
             ei + 1

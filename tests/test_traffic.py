@@ -92,7 +92,8 @@ def test_chain_to_ribbon_small_uniqueness():
     params = hurwitz_params(0, (1, 1), (2,))
     (ms, _aut), = P.monodromy_classes(params)
     hrg, ticks = T.chain_to_ribbon(ms)
-    assert (hrg.skeleton.num_white, hrg.skeleton.num_gray, hrg.skeleton.r) == (2, 1, 1)
+    colors = hrg.skeleton.face_color
+    assert (colors.count("white"), colors.count("gray"), hrg.skeleton.r) == (2, 1, 1)
     assert ribbon_to_chain(hrg, ticks) == P.sigma_chain(ms)
 
 

@@ -334,7 +334,11 @@ def test_tropicalization_matrix_boundary_rows_are_balancing_sums():
         for (tail, head), row in zip(graph.edges, rows):
             if tail[0] == "s":
                 white_rows[tail[1]] = row
-        for lab, orbit in skel.white_faces():
+        for orbit, color, lab in zip(
+            skel.map.face_orbits, skel.face_color, skel.face_label
+        ):
+            if color != "white":
+                continue
             edge_index = {e: k for k, e in enumerate(skel.edges())}
             counts = [0] * len(skel.edges())
             inv = skel.map.edge_involution
