@@ -263,11 +263,14 @@ def fit_chamber_polynomial(
     pts = dict(_sample_points(m, n, dmax)).get(signs)
     if pts is None:
         raise InsufficientSamples(f"no integer points found in chamber {signs}")
-    monos = tuple(_monomials(m + n - 1, 4 * g - 3 + m + n))
-    if len(pts) < len(monos) + 1:
+    # count the monomials first, so a chamber too thin to fit lists none
+    num_vars, degree = m + n - 1, 4 * g - 3 + m + n
+    size = math.comb(num_vars + degree, num_vars)
+    if len(pts) < size + 1:
         raise InsufficientSamples(
-            f"chamber {signs}: {len(pts)} points for {len(monos)} coefficients"
+            f"chamber {signs}: {len(pts)} points for {size} coefficients"
         )
+    monos = tuple(_monomials(num_vars, degree))
     values = [oracle(mu, nu) for mu, nu in pts]
 
     # fit on the first full-rank set of points, hold out everything else

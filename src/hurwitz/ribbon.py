@@ -46,7 +46,6 @@ from .core import (
     MAX_RIBBON_R,  # this method's bound, also read as ribbon.MAX_RIBBON_R
     HurwitzParams,
     NonIntegerGenus,
-    Partition,
     check_method_r,
 )
 
@@ -120,23 +119,6 @@ class CombinatorialMap:
         """Edges as sorted dart pairs, in increasing order."""
         inv = self.edge_involution
         return [(x, inv[x]) for x in range(self.num_darts) if x < inv[x]]
-
-    @cached_property
-    def face_edge_counts(self) -> tuple:
-        """Row per face, aligned with face_orbits: how often the face runs
-        along each edge, edges indexed like edges()."""
-        edges = self.edges()
-        index = {}
-        for k, (x, y) in enumerate(edges):
-            index[x] = k
-            index[y] = k
-        rows = []
-        for orbit in self.face_orbits:
-            row = [0] * len(edges)
-            for x in orbit:
-                row[index[x]] += 1
-            rows.append(tuple(row))
-        return tuple(rows)
 
     @cached_property
     def connected(self) -> bool:
@@ -249,34 +231,6 @@ class MNRRibbonGraph:
         x = self.natural_dart(edge)
         y = self.map.edge_involution[x]
         return self.vertex_label[x], self.vertex_label[y]
-
-    # Every weighting of one skeleton is checked against the same face rows
-    # and bounds, so they are worked out once, like the map's orbits; the
-    # rows come from the map, which all face labelings of a map share.
-    @cached_property
-    def face_incidence(self) -> tuple:
-        """(white rows, gray rows, lower bounds), the weight-free part of the
-        weight polytope; edges are indexed like edges().
-
-        Row k of a color counts how often that color's face with label k + 1
-        runs along each edge.  An edge's lower bound is 1 when its natural
-        orientation runs i -> j with i >= j, else 0.
-        """
-        faces = sorted(
-            zip(self.face_color, self.face_label, self.map.face_edge_counts)
-        )
-        # natural_orientation, inlined because every labeled skeleton the
-        # listings build runs this: an edge's natural dart lies on a gray face
-        vl, face_of, color = self.vertex_label, self.face_of_dart, self.face_color
-        lower = tuple(
-            int(vl[x] >= vl[y]) if color[face_of[x]] == "gray" else int(vl[y] >= vl[x])
-            for x, y in self.edges()
-        )
-        return (
-            tuple(row for col, _, row in faces if col == "white"),
-            tuple(row for col, _, row in faces if col == "gray"),
-            lower,
-        )
 
     def serialize(self, weights=None) -> dict:
         """JSON-ready description; darts are 1-based in the output."""
@@ -403,43 +357,6 @@ def _medial_from_sigma(sigma: tuple) -> CombinatorialMap:
 
 
 # ---------------------------------------------------------------------------
-# weight polytopes
-
-
-@dataclass(frozen=True)
-class WeightPolytope:
-    """Balancing equalities plus per-edge lower bounds for one skeleton.
-
-    rows: (coefficients over the edge index set, right-hand side); an edge
-    incident to the same face twice would contribute coefficient 2 (cannot
-    happen on a bicolored map, but the construction counts incidences).
-    lower: 1 for edges whose natural orientation runs i -> j with i >= j,
-    else 0.
-    """
-
-    num_edges: int
-    rows: tuple  # ((coeffs...), rhs)
-    lower: tuple
-
-    def contains(self, w) -> bool:
-        if len(w) != self.num_edges:
-            return False
-        if any(x < lo for x, lo in zip(w, self.lower)):
-            return False
-        return all(
-            sum(c * x for c, x in zip(coeffs, w)) == rhs for coeffs, rhs in self.rows
-        )
-
-
-def weight_polytope(g: MNRRibbonGraph, mu: Partition, nu: Partition) -> WeightPolytope:
-    whites, grays, lower = g.face_incidence
-    if len(mu) != len(whites) or len(nu) != len(grays):
-        raise ValueError("partition lengths must match face counts")
-    rows = tuple(zip(whites, mu)) + tuple(zip(grays, nu))
-    return WeightPolytope(len(lower), rows, lower)
-
-
-# ---------------------------------------------------------------------------
 # weighted ribbon graphs
 
 
@@ -453,8 +370,22 @@ class HurwitzRibbonGraph:
     params: HurwitzParams
 
     def __post_init__(self):
-        p = weight_polytope(self.skeleton, self.params.mu, self.params.nu)
-        if not p.contains(self.weights):
+        # one pass over the edges: each weight meets its positivity bound and
+        # adds to the faces on both sides; then white face k must total mu_k
+        # and gray face k nu_k
+        skel = self.skeleton
+        edges = skel.edges()
+        totals = [0] * len(skel.face_color)
+        ok = len(self.weights) == len(edges)
+        for e, w in zip(edges, self.weights):
+            i, j = skel.natural_orientation(e)
+            ok = ok and w >= (i >= j)
+            for x in e:
+                totals[skel.face_of_dart[x]] += w
+        faces = sorted(zip(skel.face_color, skel.face_label, totals))
+        for color, parts in (("white", self.params.mu), ("gray", self.params.nu)):
+            ok = ok and tuple(t for c, _, t in faces if c == color) == parts.parts
+        if not ok:
             raise ValueError("weights are not positive and (mu, nu)-balanced")
 
     def canonical_key(self):

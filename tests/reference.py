@@ -10,9 +10,15 @@ here.  The ribbon-graph reference, a scan over every vertex phase, is
 Rank: ``rank`` re-eliminates a whole matrix from scratch, the reference for
 the incremental elimination in ``chambers.eliminate``.
 
-Cut-join events (``apply_transposition``, ``chain_events``), edge lengths
-and the lattice points of a weight polytope are worked out here directly,
-for tests that check the library's counts and polytopes against them.
+Cut-join events (``apply_transposition``, ``chain_events``) and edge
+lengths are worked out here directly, for tests that check the library's
+counts against them.
+
+Weight polytopes: the library checks a weighting against a skeleton's face
+sums and positivity bounds in one pass over the edges
+(``HurwitzRibbonGraph``); ``weight_polytope`` states the same conditions as
+explicit rows (face-edge incidences with right-hand sides mu and nu) plus
+per-edge lower bounds, built from the skeleton's public data only.
 
 Weightings: the library lists a table record's weightings per (white face,
 gray face) cell (``ribbon._cell_weightings``); ``solve_rows`` lists them by a
@@ -209,6 +215,50 @@ def edge_lengths(hrg) -> list:
         edge_length(w, *skel.natural_orientation(e), skel.r)
         for w, e in zip(hrg.weights, skel.edges())
     ]
+
+
+@dataclass(frozen=True)
+class WeightPolytope:
+    """Balancing equalities plus per-edge lower bounds for one skeleton.
+
+    rows: (coefficients over the edge index set, right-hand side); an edge
+    incident to the same face twice would contribute coefficient 2 (cannot
+    happen on a bicolored map, but the construction counts incidences).
+    lower: 1 for edges whose natural orientation runs i -> j with i >= j,
+    else 0.
+    """
+
+    num_edges: int
+    rows: tuple  # ((coeffs...), rhs)
+    lower: tuple
+
+    def contains(self, w) -> bool:
+        if len(w) != self.num_edges:
+            return False
+        if any(x < lo for x, lo in zip(w, self.lower)):
+            return False
+        return all(
+            sum(c * x for c, x in zip(coeffs, w)) == rhs for coeffs, rhs in self.rows
+        )
+
+
+def weight_polytope(skel, mu, nu) -> WeightPolytope:
+    """The weight polytope of a skeleton: one row per white face k (right-hand
+    side mu_k), then one per gray face k (nu_k); edges indexed like
+    skel.edges()."""
+    edges = skel.edges()
+    counts = [[0] * len(edges) for _ in skel.face_color]
+    for k, e in enumerate(edges):
+        for x in e:
+            counts[skel.face_of_dart[x]][k] += 1
+    faces = sorted(zip(skel.face_color, skel.face_label, map(tuple, counts)))
+    whites = [row for col, _, row in faces if col == "white"]
+    grays = [row for col, _, row in faces if col == "gray"]
+    if len(mu) != len(whites) or len(nu) != len(grays):
+        raise ValueError("partition lengths must match face counts")
+    lower = tuple(int(i >= j) for i, j in map(skel.natural_orientation, edges))
+    rows = tuple(zip(whites, mu)) + tuple(zip(grays, nu))
+    return WeightPolytope(len(edges), rows, lower)
 
 
 def lattice_points(poly) -> list:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -347,6 +348,21 @@ def test_chambers_skipped_exits_one():
     assert [s["signs"] for s in doc["skipped"]] == [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     assert all("50 points for 56 coefficients" in s["reason"] for s in doc["skipped"])
     assert "--dmax" in err
+
+
+def test_chambers_skips_unfittable_chambers_at_once():
+    """A chamber with fewer points than coefficients is skipped before its
+    monomials (42,504 here) are listed."""
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["chambers", "--genus", "4", "--m", "3", "--n", "3", "--dmax", "10"]
+    )
+    assert time.perf_counter() - start < 10
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["chambers"] == [] and len(doc["skipped"]) == 18
+    assert all("points for 42504 coefficients" in s["reason"] for s in doc["skipped"])
+    assert err.startswith("error: 18 of 18 sampled chambers have too few points")
 
 
 def test_chambers_without_samples_exits_one():

@@ -433,6 +433,26 @@ def test_classical_closed_forms():
         assert P.count_hurwitz_permutation(torus) == Fraction(d * (d - 1) * (d + 1), 12)
 
 
+def test_hurwitz_genus_zero_formula():
+    # Hurwitz: covers of P^1 by P^1 with one branch point of type mu and
+    # simple ones elsewhere number H_0(mu, 1^d) = d! r! d^(m-3) prod
+    # mu_i^mu_i / mu_i!, with r = m + d - 2
+    checked = 0
+    for d in range(1, 8):
+        for mu in descending_partitions(d):
+            m = len(mu)
+            r = m + d - 2
+            if not 1 <= r <= 9:
+                continue
+            value = factorial(d) * factorial(r) * Fraction(d) ** (m - 3)
+            for part in mu:
+                value *= Fraction(part**part, factorial(part))
+            params = hurwitz_params(0, mu, (1,) * d)
+            assert P.count_hurwitz_permutation(params) == value, params
+            checked += 1
+    assert checked == 38
+
+
 def test_cycle_string():
     assert P.perm_to_cycle_string(P.identity(4)) == "e"
     p = perm_from_cycles(5, (0, 2), (1, 3, 4))

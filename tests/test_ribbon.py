@@ -28,6 +28,7 @@ from reference import (
     medial_graph,
     rank,
     solve_rows,
+    weight_polytope,
 )
 
 
@@ -518,7 +519,7 @@ def test_edge_lengths_positive_iff_weighting_valid():
 def test_weight_polytope_unique_point_on_genus_one():
     (pair,) = R.enumerate_skeletons(1, 1, 2)
     skel, _ = pair
-    poly = R.weight_polytope(skel, Partition((2,)), Partition((2,)))
+    poly = weight_polytope(skel, Partition((2,)), Partition((2,)))
     pts = lattice_points(poly)
     assert len(pts) == 1
     assert sorted(pts[0]) == [0, 0, 1, 1]
@@ -527,7 +528,7 @@ def test_weight_polytope_unique_point_on_genus_one():
 def test_weight_polytope_infeasible_empty():
     (pair,) = R.enumerate_skeletons(1, 1, 2)
     skel, _ = pair
-    poly = R.weight_polytope(skel, Partition((1,)), Partition((1,)))
+    poly = weight_polytope(skel, Partition((1,)), Partition((1,)))
     assert lattice_points(poly) == []
 
 
@@ -536,14 +537,14 @@ def test_weight_polytope_scaling_monotone():
     skel, _ = pair
     counts = []
     for t in range(1, 5):
-        poly = R.weight_polytope(skel, Partition((2 * t,)), Partition((2 * t,)))
+        poly = weight_polytope(skel, Partition((2 * t,)), Partition((2 * t,)))
         counts.append(len(lattice_points(poly)))
     assert counts == sorted(counts)
 
 
 def test_weight_polytope_row_structure():
     for skel, _ in R.enumerate_skeletons(2, 2, 2)[:5]:
-        poly = R.weight_polytope(skel, Partition((2, 1)), Partition((2, 1)))
+        poly = weight_polytope(skel, Partition((2, 1)), Partition((2, 1)))
         for coeffs, _ in poly.rows:
             assert set(coeffs) <= {0, 1, 2}
         # every edge lies on exactly one white and one gray row
@@ -556,19 +557,64 @@ def test_weight_polytope_rank():
     for m, n, r in [(2, 1, 1), (1, 1, 2), (2, 2, 2), (3, 1, 2)]:
         g = (r - m - n + 2) // 2
         for skel, _ in R.enumerate_skeletons(m, n, r):
-            poly = R.weight_polytope(skel, Partition([1] * m), Partition([1] * n))
+            poly = weight_polytope(skel, Partition([1] * m), Partition([1] * n))
             assert 2 * r - rank([coeffs for coeffs, _ in poly.rows]) == 4 * g - 3 + m + n
 
 
 def test_lattice_points_lexicographic():
     params = hurwitz_params(0, (3, 2), (4, 1))
     for skel, _ in R.enumerate_skeletons(2, 2, 2)[:6]:
-        poly = R.weight_polytope(skel, params.mu, params.nu)
+        poly = weight_polytope(skel, params.mu, params.nu)
         pts = lattice_points(poly)
         assert pts == sorted(pts)
         for w in pts:
             assert poly.contains(w)
         assert solve_rows(poly.num_edges, poly.rows, poly.lower) == pts
+
+
+@functools.lru_cache(maxsize=None)
+def weighted_classes_up_to_r3():
+    return [
+        hrg
+        for params in all_params(5, 3)
+        for hrg, _ in R.hurwitz_ribbon_classes(params)
+    ]
+
+
+@st.composite
+def nudged_weighting(draw):
+    """A weighted ribbon graph with r <= 3 and its weights after one small
+    change: +-1 on one or two edges, a swap, or one weight more or less."""
+    hrg = draw(st.sampled_from(weighted_classes_up_to_r3()))
+    w = list(hrg.weights)
+    edge = st.integers(0, len(w) - 1)
+    change = draw(st.sampled_from(["one", "two", "swap", "more", "less"]))
+    if change in ("one", "two"):
+        for _ in range(1 if change == "one" else 2):
+            w[draw(edge)] += draw(st.sampled_from([-1, 1]))
+    elif change == "swap":
+        i, j = draw(edge), draw(edge)
+        w[i], w[j] = w[j], w[i]
+    elif change == "more":
+        w.insert(draw(st.integers(0, len(w))), draw(st.integers(0, 3)))
+    else:
+        del w[draw(edge)]
+    return hrg, tuple(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nudged_weighting())
+def test_weighting_check_rejects_what_the_polytope_rejects(data):
+    hrg, w = data
+    poly = weight_polytope(hrg.skeleton, hrg.params.mu, hrg.params.nu)
+    assert poly.contains(hrg.weights)
+    try:
+        R.HurwitzRibbonGraph(hrg.skeleton, w, hrg.params)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert accepted == poly.contains(w)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import all_params
 from hurwitz.core import Partition, RZero, descending_partitions, hurwitz_params
 from hurwitz import permutation as P
 from hurwitz import ribbon as R
@@ -372,6 +373,39 @@ def test_aggregate_fiber_identity():
             for form, members in groups.items()
         }
         assert ribbon_by_form == tropical_by_form, (g, mu, nu)
+
+
+def _flow_class(mg):
+    """A monodromy graph's (tail, head, flow) triples, sorted: all vertices
+    are labeled, so two graphs are isomorphic iff these agree."""
+    return tuple(sorted((*e, f) for e, f in zip(mg.graph.edges, mg.flows)))
+
+
+@pytest.mark.parametrize(
+    "cases,flow_classes",
+    [
+        (lambda: all_params(4, 4), 655),
+        # r = 6, beyond the ribbon method's range
+        (lambda: [hurwitz_params(2, (3, 1), (2, 2))], 200),
+    ],
+    ids=["d4-r4", "r6"],
+)
+def test_per_flow_identity_on_the_chain_side(cases, flow_classes):
+    """The monodromy classes whose chains collapse to one monodromy graph
+    (T, f) weigh prod(interior flows of f) / |Stab f| in total."""
+    checked = 0
+    for params in cases():
+        chain_side = {}
+        for ms, aut in P.monodromy_classes(params):
+            key = _flow_class(T.monodromy_graph_of_chain(ms))
+            chain_side[key] = chain_side.get(key, 0) + Fraction(1, aut)
+        graph_side = {
+            _flow_class(mg): Fraction(tropical_multiplicity(mg), stab)
+            for mg, stab in TR.monodromy_graph_classes(params)
+        }
+        assert chain_side == graph_side, params
+        checked += len(graph_side)
+    assert checked == flow_classes
 
 
 def test_serialization():
