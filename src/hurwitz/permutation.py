@@ -17,7 +17,8 @@ quotients are single transpositions.
 
 The count and the listing both fix one sigma_0 and grow the chain one
 transposition at a time; the count sums over orbit states, the listing walks
-the transpositions.  Both drop a partial chain by one rule, _feasible.
+the transpositions and conjugates the chains to every other sigma_0.  Both
+drop a partial chain by one rule, _feasible.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from .core import HurwitzParams, Partition
 
@@ -317,12 +319,48 @@ def _completions(sigma0: Perm, params: HurwitzParams):
     return results
 
 
+def _conjugator(rep: Perm, p: Perm) -> Perm:
+    """A pi with p = pi . rep . pi^-1, for p of the same cycle type as rep:
+    it maps each cycle of rep onto a cycle of p of the same length."""
+    pool = {}
+    for c in cycles(p):
+        pool.setdefault(len(c), []).append(c)
+    pi = [0] * len(p)
+    for c in cycles(rep):
+        for x, y in zip(c, pool[len(c)].pop()):
+            pi[x] = y
+    return tuple(pi)
+
+
+def _conjugate_completions(comps: list, pi: Perm, tau: dict) -> list:
+    """pi . comps . pi^-1 for comps given as (transposition pairs, sigma_r),
+    sorted back into the lexicographic order of the pairs that _completions
+    lists them in; tau maps each pair to its transposition."""
+    image = {q: tuple(sorted(pi[x] for x in q)) for q in tau}
+    pinv = inverse(pi)
+    moved = sorted(
+        (tuple(image[q] for q in qs), tuple(pi[sigma[x]] for x in pinv))
+        for qs, sigma in comps
+    )
+    return [(tuple(tau[q] for q in qs), sigma) for qs, sigma in moved]
+
+
 def enumerate_monodromy_sets(params: HurwitzParams):
     """Yield every (mu, nu, g)-monodromy set exactly once, labelings included,
-    in a deterministic order."""
-    mu, nu = params.mu, params.nu
-    for p in perms_of_type(params.d, mu):
-        comps = _completions(p, params)
+    in a deterministic order.
+
+    The chains are walked once, from canonical_perm_of_type(mu); every other
+    sigma_0 of type mu = pi . rep . pi^-1 takes them conjugated by pi."""
+    mu, nu, d = params.mu, params.nu, params.d
+    rep = canonical_perm_of_type(mu)
+    tau = {q: transposition(d, *q) for q in itertools.combinations(range(d), 2)}
+    pair = {t: q for q, t in tau.items()}
+    base = [
+        (tuple(pair[t] for t in taus), sigma)
+        for taus, sigma in _completions(rep, params)
+    ]
+    for p in perms_of_type(d, mu):
+        comps = _conjugate_completions(base, _conjugator(rep, p), tau)
         for lab0 in admissible_labelings(p, mu):
             for taus, sigma_r in comps:
                 q = inverse(sigma_r)
@@ -377,9 +415,11 @@ def _orbit_state_moves(state: tuple):
                     yield _orbit_state(kept + (merged + (a + b,),)), a * b
 
 
-def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
-    """Number of (tau_1..tau_r) completing one fixed sigma_0 of type mu to a
-    transitive chain ending in type nu.
+@lru_cache(maxsize=None)
+def _final_orbit_states(mu: tuple, n: int, r: int) -> MappingProxyType:
+    """Chain counts per orbit state after r transpositions from one fixed
+    sigma_0 of type mu (a descending tuple), keeping only the states that can
+    still end in one orbit with n cycles.  Read-only, since it is cached.
 
     Forward recursion over orbit states: the orbits of <sigma_0, tau_1..tau_k>,
     each recorded as the multiset of lengths of the sigma_k cycles inside it.
@@ -388,7 +428,6 @@ def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
     counts per state is exact.  A cut splits a cycle inside its orbit, a join
     inside one orbit keeps the orbits, a join across two orbits merges them.
     """
-    n = len(nu)
     states = {_orbit_state([part] for part in mu): 1}
     for step in range(r):
         nxt = {}
@@ -400,6 +439,18 @@ def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
             for s, w in nxt.items()
             if _feasible(len(s), sum(map(len, s)), n, r - step - 1)
         }
+    return MappingProxyType(states)
+
+
+def _count_chains(mu: Partition, nu: Partition, r: int) -> int:
+    """Number of (tau_1..tau_r) completing one fixed sigma_0 of type mu to a
+    transitive chain ending in type nu.
+
+    One forward pass of _final_orbit_states per (sorted mu, n, r) is shared
+    by every nu with n parts, whatever the order of the parts: a transitive
+    chain ends in the single orbit whose cycle lengths are nu.
+    """
+    states = _final_orbit_states(mu.sorted_desc(), len(nu), r)
     return states.get(_orbit_state([nu]), 0)
 
 
@@ -409,8 +460,10 @@ def count_monodromy_sets(params: HurwitzParams) -> int:
     Tuples with different sigma_0 of the same type are in bijection by
     conjugation, so the chains from one representative sigma_0 are counted
     (by the orbit-state recursion of _count_chains) and the result is scaled
-    by the class size and by the labeling multiplicities.  Agreement with the
-    plain enumeration is part of the test suite.
+    by the class size and by the labeling multiplicities.  The recursion runs
+    once per (sorted mu, len(nu), r) in a process, and every nu of that
+    length reads its count from the same cached final states.  Agreement
+    with the plain enumeration is part of the test suite.
     """
     mu, nu = params.mu, params.nu
     class_size = factorial(params.d) // _centralizer_order(mu)

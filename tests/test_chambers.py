@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hurwitz.core import (
     hurwitz_params,
 )
 from hurwitz import chambers as C
+from hurwitz import permutation as P
 from hurwitz.permutation import count_hurwitz_permutation
 from hurwitz.tropical import enumerate_tropical_graphs  # noqa: F401  (import sanity)
 from reference import rank
@@ -153,6 +155,58 @@ def test_g0_two_three_at_dmax_12():
     assert len(fits) == 6 and len(fits.skipped) == 12
     for cp in fits:
         assert cp.holdout_passed and C.degree_check(cp)
+
+
+def test_oracle_runs_one_forward_pass_per_sorted_mu():
+    # every nu of one (sorted mu, n, r) reads the same cached orbit states
+    P._final_orbit_states.cache_clear()
+    C.fit_all_chambers(0, 2, 2, dmax=14)
+    sorted_mus = {
+        tuple(sorted(mu, reverse=True))
+        for _, pts in C._sample_points(2, 2, 14)
+        for mu, _ in pts
+    }
+    assert len(sorted_mus) == 47
+    assert P._final_orbit_states.cache_info().misses == len(sorted_mus)
+
+
+def _h0(mu, nu):
+    return count_hurwitz_permutation(hurwitz_params(0, tuple(mu), tuple(nu)))
+
+
+@pytest.mark.parametrize(
+    "m,n,dmax,pairs,points",
+    [(2, 2, 14, 4, 644), (2, 3, 16, 30, 5358)],
+)
+def test_genus_zero_wall_crossing(m, n, dmax, pairs, points):
+    """Cavalieri-Johnson-Markwig: across the wall delta = mu_I - nu_J,
+    P+ - P- = delta C(r, r1) H0(mu_I, nu_J + (delta)) H0(mu_I^c + (delta), nu_J^c)
+    with r1 = |I| + |J| - 1, at every sample point on the delta > 0 side of
+    every pair of fitted chambers that differ across one wall."""
+    fits = C.fit_all_chambers(0, m, n, dmax=dmax)
+    assert fits.skipped == ()
+    by_signs = {cp.signs: cp for cp in fits}
+    samples = dict(C._sample_points(m, n, dmax))
+    r = m + n - 2
+    seen_pairs = seen_points = 0
+    for k, wall in enumerate(C.walls(m, n)):
+        rest = wall.complement(m, n)
+        weight = comb(r, len(wall.I) + len(wall.J) - 1)
+        for signs, plus in by_signs.items():
+            minus = by_signs.get(signs[:k] + (-1,) + signs[k + 1 :])
+            if signs[k] != 1 or minus is None:
+                continue
+            seen_pairs += 1
+            for mu, nu in samples[signs]:
+                delta = wall.functional(mu, nu)
+                mu_i, nu_j = [mu[i - 1] for i in wall.I], [nu[j - 1] for j in wall.J]
+                mu_ic, nu_jc = [mu[i - 1] for i in rest.I], [nu[j - 1] for j in rest.J]
+                left, right = _h0(mu_i, nu_j + [delta]), _h0(mu_ic + [delta], nu_jc)
+                assert plus.evaluate(mu, nu) - minus.evaluate(mu, nu) == (
+                    delta * weight * left * right
+                ), (wall.describe(), mu, nu)
+                seen_points += 1
+    assert (seen_pairs, seen_points) == (pairs, points)
 
 
 @st.composite

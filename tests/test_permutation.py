@@ -2,14 +2,14 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_params
-from hurwitz.core import Partition, descending_partitions, hurwitz_params
+from hurwitz.core import Partition, descending_partitions, hurwitz_params, sweep_params
 from hurwitz import permutation as P
 from reference import (
     all_transpositions,
@@ -178,6 +178,44 @@ def test_completions_match_brute_force_scan():
         rep = P.canonical_perm_of_type(params.mu)
         brute = brute_force_completions(rep, params)
         assert P._completions(rep, params) == brute, params
+
+
+# d <= 7 and 1 <= r <= 6, where the chain walk visits at most C(d, 2)^r leaves
+# (at most 100,000), so the walk can serve as the reference
+WALKABLE = [
+    (g, mu, nu)
+    for g, mu, nu in sweep_params(7, 6)
+    if comb(sum(mu), 2) ** (2 * g - 2 + len(mu) + len(nu)) <= 100_000
+]
+
+
+@st.composite
+def walkable_data(draw):
+    """(params, mu with its parts permuted again), parts in arbitrary order."""
+    g, mu, nu = draw(st.sampled_from(WALKABLE))
+    params = hurwitz_params(g, draw(st.permutations(mu)), draw(st.permutations(nu)))
+    return params, Partition(draw(st.permutations(mu)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(walkable_data())
+def test_chain_count_cache_is_shared_by_part_orders(data):
+    """The cached forward pass answers like the chain walk with the cache as
+    earlier calls left it, from a cleared cache and for a permuted mu, and a
+    permuted mu reuses the entry of its sorted parts."""
+    params, shuffled = data
+    want = len(P._completions(P.canonical_perm_of_type(params.mu), params))
+    cache = P._final_orbit_states
+    assert P._count_chains(params.mu, params.nu, params.r) == want
+    cache.cache_clear()
+    assert P._count_chains(params.mu, params.nu, params.r) == want
+    cold = cache.cache_info()
+    assert (cold.misses, cold.currsize) == (1, 1)
+    assert P._count_chains(shuffled, params.nu, params.r) == want
+    assert cache.cache_info() == cold._replace(hits=cold.hits + 1)
+    states = cache(params.mu.sorted_desc(), params.n, params.r)
+    with pytest.raises(TypeError):
+        states[()] = 0
 
 
 def _digest(lines):
