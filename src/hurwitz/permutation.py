@@ -187,12 +187,12 @@ class LabeledPermutation:
         )
 
 
-def admissible_labelings(p: Perm, target: Partition):
-    """Yield every labeling of p's cycles with label i on a cycle of length
-    target_i.  Empty if cycle_type(p) != target as multisets."""
-    cs = cycles(p)
+def _labeled_cycles(p: Perm, target: Partition):
+    """Yield the cycles of p by label, one tuple per labeling with label i on
+    a cycle of length target_i.  Empty if cycle_type(p) != target as
+    multisets."""
     by_len = {}
-    for c in cs:
+    for c in cycles(p):
         by_len.setdefault(len(c), []).append(c)
     labels_by_len = {}
     for i, part in enumerate(target):
@@ -208,7 +208,14 @@ def admissible_labelings(p: Perm, target: Partition):
         for ln, cycs in zip(lengths, assignment):
             for lab, c in zip(labels_by_len[ln], cycs):
                 by_label[lab] = c
-        yield LabeledPermutation(p, tuple(by_label))
+        yield tuple(by_label)
+
+
+def admissible_labelings(p: Perm, target: Partition):
+    """Yield every labeling of p's cycles with label i on a cycle of length
+    target_i.  Empty if cycle_type(p) != target as multisets."""
+    for by_label in _labeled_cycles(p, target):
+        yield LabeledPermutation(p, by_label)
 
 
 @dataclass(frozen=True)
@@ -291,31 +298,38 @@ def _completions(sigma0: Perm, params: HurwitzParams):
 
     The DFS carries each point's orbit label under <sigma_0, tau_1..tau_k>
     and the orbit count, and prunes every node by _feasible, so a leaf (the
-    root when r = 0) is one orbit with n cycles.
+    root when r = 0) is one orbit with n cycles.  It keeps sigma_k and its
+    inverse as lists: tau = (i j) after sigma_k swaps the images of the two
+    points that sigma_k sends to i and j, and the swap is undone on return.
     """
     d, r, n = params.d, params.r, params.n
-    want = params.nu.sorted_desc()
+    want = sorted(params.nu.parts, reverse=True)
     pairs = [
         (i, j, transposition(d, i, j)) for i, j in itertools.combinations(range(d), 2)
     ]
     results = []
 
-    def dfs(sigma: Perm, orbit: tuple, k: int, taus: tuple):
+    def dfs(sigma: list, inv: list, orbit: tuple, k: int, taus: tuple):
         steps = r - len(taus)
         if not _feasible(k, num_cycles(sigma), n, steps):
             return
         if steps == 0:
-            if cycle_type(sigma).parts == want:
-                results.append((taus, sigma))
+            if sorted(map(len, cycles(sigma)), reverse=True) == want:
+                results.append((taus, tuple(sigma)))
             return
         for i, j, tau in pairs:
             a, b = orbit[i], orbit[j]
             joined = orbit if a == b else tuple(a if o == b else o for o in orbit)
-            dfs(compose(tau, sigma), joined, k - (a != b), taus + (tau,))
+            x, y = inv[i], inv[j]
+            sigma[x], sigma[y], inv[i], inv[j] = j, i, y, x
+            dfs(sigma, inv, joined, k - (a != b), taus + (tau,))
+            sigma[x], sigma[y], inv[i], inv[j] = i, j, x, y
 
     cs = cycles(sigma0)
     label = {x: c[0] for c in cs for x in c}
-    dfs(sigma0, tuple(label[x] for x in range(d)), len(cs), ())
+    dfs(
+        list(sigma0), list(inverse(sigma0)), tuple(label[x] for x in range(d)), len(cs), ()
+    )
     return results
 
 
@@ -350,7 +364,9 @@ def enumerate_monodromy_sets(params: HurwitzParams):
     in a deterministic order.
 
     The chains are walked once, from canonical_perm_of_type(mu); every other
-    sigma_0 of type mu = pi . rep . pi^-1 takes them conjugated by pi."""
+    sigma_0 of type mu = pi . rep . pi^-1 takes them conjugated by pi.  The
+    sigma_inf labelings of a conjugated chain do not depend on the labeling
+    of sigma_0, so they are built once per sigma_0."""
     mu, nu, d = params.mu, params.nu, params.d
     rep = canonical_perm_of_type(mu)
     tau = {q: transposition(d, *q) for q in itertools.combinations(range(d), 2)}
@@ -360,11 +376,13 @@ def enumerate_monodromy_sets(params: HurwitzParams):
         for taus, sigma in _completions(rep, params)
     ]
     for p in perms_of_type(d, mu):
-        comps = _conjugate_completions(base, _conjugator(rep, p), tau)
+        comps = [
+            (taus, list(admissible_labelings(inverse(sigma_r), nu)))
+            for taus, sigma_r in _conjugate_completions(base, _conjugator(rep, p), tau)
+        ]
         for lab0 in admissible_labelings(p, mu):
-            for taus, sigma_r in comps:
-                q = inverse(sigma_r)
-                for labinf in admissible_labelings(q, nu):
+            for taus, labinfs in comps:
+                for labinf in labinfs:
                     yield MonodromySet(lab0, taus, labinf, params)
 
 
@@ -547,26 +565,56 @@ def monodromy_class_key(ms: MonodromySet):
     return min(_rotation_orbit(ms.params.mu, _aligned(ms)))
 
 
-def monodromy_classes(params: HurwitzParams):
+class MonodromyClasses(list):
+    """The isomorphism classes of one parameter set as a list of
+    (representative, aut_order), plus the lookup find(ms) of any monodromy
+    set's class.
+
+    The listing records every member of each class's rotation orbit, so a
+    lookup aligns the set once and reads its class off, where comparing
+    monodromy_class_key values takes the minimum over a whole orbit per set.
+    """
+
+    def __init__(self, params: HurwitzParams):
+        super().__init__()
+        self.params = params
+        self._class_of = {}  # orbit member -> (position, aut_order)
+
+    def find(self, ms: MonodromySet):
+        """(position, aut_order) of the class of ms, or None if no listed
+        class contains it."""
+        if ms.params != self.params:
+            raise ValueError("the monodromy set belongs to other parameters")
+        return self._class_of.get(_aligned(ms))
+
+
+def monodromy_classes(params: HurwitzParams) -> MonodromyClasses:
     """Isomorphism classes of monodromy sets as (representative, aut_order),
     in order of first appearance.
 
     Every class has a member whose sigma_0 is the canonical representative
     with the identity labeling, so classes are the rotation orbits of those
-    members; each new class adds its whole orbit to the seen set.
+    members.  Such a member's aligned form is its transposition pairs and
+    its sorted sigma_inf label cycles as they stand, so it is read off the
+    chain walk directly; each new class adds its whole orbit to the lookup,
+    and only representatives become MonodromySet objects.
     """
-    mu, nu = params.mu, params.nu
+    mu, nu, d = params.mu, params.nu, params.d
     rep = canonical_perm_of_type(mu)
     lab0 = LabeledPermutation(rep, tuple(cycles(rep)))
-    seen = set()
-    classes = []
+    pair = {transposition(d, *q): q for q in itertools.combinations(range(d), 2)}
+    classes = MonodromyClasses(params)
+    class_of = classes._class_of
     for taus, sigma_r in _completions(rep, params):
-        for labinf in admissible_labelings(inverse(sigma_r), nu):
-            ms = MonodromySet(lab0, taus, labinf, params)
-            aligned = _aligned(ms)
-            if aligned in seen:
+        pairs = tuple(pair[t] for t in taus)
+        q = inverse(sigma_r)
+        for by_label in _labeled_cycles(q, nu):
+            aligned = pairs, tuple(tuple(sorted(c)) for c in by_label)
+            if aligned in class_of:
                 continue
             orbit = _rotation_orbit(mu, aligned)
-            seen.update(orbit)
-            classes.append((ms, orbit.count(aligned)))
+            entry = len(classes), orbit.count(aligned)
+            class_of.update(dict.fromkeys(orbit, entry))
+            labinf = LabeledPermutation(q, by_label)
+            classes.append((MonodromySet(lab0, taus, labinf, params), entry[1]))
     return classes

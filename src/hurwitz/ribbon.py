@@ -262,21 +262,28 @@ class MNRRibbonGraph:
         lines.append("}")
         return "\n".join(lines)
 
-    def canonical_key(self, weights=None):
+    def canonical_key(self, weights=None, root=None):
         """Canonical encoding: two labeled skeletons (with weights, if given)
-        are isomorphic iff their keys agree."""
-        return _canonical_key(self, weights)
+        are isomorphic iff their keys agree.  With a root dart, the encoding
+        from that root: equal rooted keys mean an isomorphism that sends one
+        root to the other."""
+        return _canonical_key(self, weights, root)
 
 
-def _canonical_key(g: MNRRibbonGraph, weights=None):
-    """Minimum over the 4 darts at vertex 1 of the map encoded from that root.
+def _canonical_key(g: MNRRibbonGraph, weights=None, root=None):
+    """Minimum over the 4 darts at vertex 1 of the map encoded from that root,
+    or the encoding from the given root.
 
     An isomorphism fixes vertex labels, so it sends the darts of vertex v to
     the block 4(v-1)..4(v-1)+3 in rotation order; only the phase of each block
-    is free.  Rooting fixes the phase at vertex 1, and a breadth-first walk
-    fixes every other vertex's phase by the dart through which it is first
-    reached; the map is connected, so the root fixes the whole relabeling.
-    Isomorphic maps give the same 4 encodings, so the minimum is canonical.
+    is free.  Rooting fixes the phase at the root's vertex, and a breadth-
+    first walk fixes every other vertex's phase by the dart through which it
+    is first reached; the map is connected, so the root fixes the whole
+    relabeling.  An isomorphism sending root x to root y carries the walk from
+    x onto the walk from y, so their encodings agree; conversely the encoding
+    determines the map, so equal encodings give such an isomorphism.
+    Isomorphic maps give the same 4 encodings at vertex 1, so their minimum
+    is canonical.
     """
     rot, inv = g.map.rotation, g.map.edge_involution
     n = len(rot)
@@ -296,10 +303,11 @@ def _canonical_key(g: MNRRibbonGraph, weights=None):
             x = rot[x]
 
     best = None
-    for root in (x for x in range(n) if vl[x] == 1):
+    starts = [x for x in range(n) if vl[x] == 1] if root is None else [root]
+    for start in starts:
         relab = [None] * n
-        place(root)
-        anchors = [root]
+        place(start)
+        anchors = [start]
         for anchor in anchors:  # grows while it is walked
             x = anchor
             for _ in range(4):
@@ -375,21 +383,23 @@ class HurwitzRibbonGraph:
         # and gray face k nu_k
         skel = self.skeleton
         edges = skel.edges()
-        totals = [0] * len(skel.face_color)
+        face_of, colors, vl = skel.face_of_dart, skel.face_color, skel.vertex_label
+        totals = [0] * len(colors)
         ok = len(self.weights) == len(edges)
-        for e, w in zip(edges, self.weights):
-            i, j = skel.natural_orientation(e)
+        for (x, y), w in zip(edges, self.weights):
+            # (tail, head) labels along the natural orientation
+            i, j = (vl[x], vl[y]) if colors[face_of[x]] == "gray" else (vl[y], vl[x])
             ok = ok and w >= (i >= j)
-            for x in e:
-                totals[skel.face_of_dart[x]] += w
-        faces = sorted(zip(skel.face_color, skel.face_label, totals))
+            totals[face_of[x]] += w
+            totals[face_of[y]] += w
+        faces = sorted(zip(colors, skel.face_label, totals))
         for color, parts in (("white", self.params.mu), ("gray", self.params.nu)):
             ok = ok and tuple(t for c, _, t in faces if c == color) == parts.parts
         if not ok:
             raise ValueError("weights are not positive and (mu, nu)-balanced")
 
-    def canonical_key(self):
-        return self.skeleton.canonical_key(self.weights)
+    def canonical_key(self, root=None):
+        return self.skeleton.canonical_key(self.weights, root)
 
     def serialize(self) -> dict:
         return self.skeleton.serialize(self.weights)

@@ -49,7 +49,7 @@ from .permutation import (
     cycles,
     inverse,
     is_transposition,
-    monodromy_class_key,
+    monodromy_class_key,  # not called here; the benchmark tracer wraps it here
     monodromy_classes,
     sigma_chain,
 )
@@ -133,16 +133,23 @@ def step_circles(g: MNRRibbonGraph):
     return steps, whites, grays, edge_of_nat
 
 
-def ribbon_to_monodromy(h: HurwitzRibbonGraph, ticks: TickAssignment) -> MonodromySet:
-    """Full traffic-rule translation, with cycle labels read off the faces."""
-    g = h.skeleton
+def ribbon_to_monodromy(
+    h: HurwitzRibbonGraph, ticks: TickAssignment, circles=None
+) -> MonodromySet:
+    """Full traffic-rule translation, with cycle labels read off the faces.
+
+    circles is step_circles(h.skeleton), which a caller translating several
+    weightings of one skeleton computes once; it is computed here if None.
+    """
     d = h.params.d
     if ticks.d != d:
         raise ValueError("tick assignment does not match the degree")
     for w, ts in zip(h.weights, ticks.per_edge):
         if len(ts) != w:
             raise ValueError("tick counts must equal edge weights")
-    steps, whites, grays, edge_of_nat = step_circles(g)
+    if circles is None:
+        circles = step_circles(h.skeleton)
+    steps, whites, grays, edge_of_nat = circles
 
     def ticks_on(circle) -> list:
         return [t for x in circle for t in ticks.per_edge[edge_of_nat[x]]]
@@ -214,7 +221,7 @@ def chain_to_ribbon(ms: MonodromySet):
     germs bound gray faces and in-germs white ones.  A white face keeps the
     ticks of its cycle of sigma_0, a gray face those of a cycle of sigma_r,
     which is a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked;
-    each face takes the label of that cycle.
+    each face takes the label of that cycle, read at any one of its ticks.
     """
     params = ms.params
     d, r = params.d, params.r
@@ -258,18 +265,21 @@ def chain_to_ribbon(ms: MonodromySet):
 
     rotation = tuple(x - x % 4 + (x + 1) % 4 for x in range(n_darts))
     cmap = CombinatorialMap(rotation, tuple(involution))
-    white = {frozenset(c): k for k, c in enumerate(ms.sigma0.cycles_by_label, 1)}
-    gray = {frozenset(c): k for k, c in enumerate(ms.sigma_inf.cycles_by_label, 1)}
+    white = [0] * d  # tick -> label of its cycle
+    gray = [0] * d
+    for label_of, labeled in ((white, ms.sigma0), (gray, ms.sigma_inf)):
+        for k, c in enumerate(labeled.cycles_by_label, 1):
+            for t in c:
+                label_of[t] = k
     colors = []
     labels = []
     for face in cmap.face_orbits:
         if face[0] % 2 == 0:  # out-germs: the face on the walker's right
             colors.append("gray")
-            labels.append(gray[frozenset(t for x in face for t in ticks_of[x])])
+            labels.append(gray[next(t for x in face for t in ticks_of[x])])
         else:
             colors.append("white")
-            ticks = frozenset(t for x in face for t in ticks_of[involution[x]])
-            labels.append(white[ticks])
+            labels.append(white[next(t for x in face for t in ticks_of[involution[x]])])
 
     vertex_label = tuple(x // 4 + 1 for x in range(n_darts))
     per_edge = tuple(ticks_of[x if x % 2 == 0 else y] for x, y in cmap.edges())
@@ -429,38 +439,71 @@ class RoundtripReport:
         }
 
 
+def _tick_zero_root(h: HurwitzRibbonGraph, ticks: TickAssignment) -> int:
+    """The natural dart of the edge that carries tick 0."""
+    k = next(k for k, ts in enumerate(ticks.per_edge) if 0 in ts)
+    return h.skeleton.natural_dart(h.skeleton.edges()[k])
+
+
 def roundtrip_check(params: HurwitzParams) -> RoundtripReport:
     """Verify that chain_to_ribbon inverts ribbon_to_monodromy on every
     weighted ribbon class, and that the induced map onto monodromy-set
-    classes is a bijection preserving automorphism group orders."""
+    classes is a bijection preserving automorphism group orders.
+
+    chain_to_ribbon returns ticks that reproduce the chain verbatim, so the
+    rebuilt graph and the original are isomorphic as ticked graphs: some
+    isomorphism sends the edge carrying tick 0 to the edge carrying tick 0,
+    natural dart to natural dart.  So the check compares the two encodings
+    rooted at those darts, one canonical_key each.  This is at least as
+    strong as comparing the unrooted keys: equal rooted keys already give an
+    isomorphism.  The image chain's class is read off the permutation
+    listing's orbit lookup (MonodromyClasses.find), which holds every member
+    of every class, so no image needs a class key of its own.
+
+    A class whose translation raises (InvalidChain, NonterminatingTrace, or a
+    ValueError from building a translated object) is a roundtrip failure
+    with the reason; the check goes on with the next class.
+    """
     from .ribbon import hurwitz_ribbon_classes
 
     check_method_r("ribbon", params.r)
     hrg_classes = hurwitz_ribbon_classes(params)
     perm_classes = monodromy_classes(params)
-    perm_by_key = {monodromy_class_key(ms): aut for ms, aut in perm_classes}
 
     roundtrip_failures = []
     unmatched = []
     aut_mismatches = []
-    seen_keys = {}
+    seen = set()
+    skeleton = None
     for idx, (hrg, aut) in enumerate(hrg_classes):
-        ticks = canonical_ticks(hrg)
-        ms = ribbon_to_monodromy(hrg, ticks)
-        back, _ = chain_to_ribbon(ms)
-        if back.canonical_key() != hrg.canonical_key():
-            roundtrip_failures.append({"class": idx})
+        try:
+            if hrg.skeleton is not skeleton:  # classes of one skeleton are adjacent
+                circles = step_circles(hrg.skeleton)
+                skeleton = hrg.skeleton
+            ticks = canonical_ticks(hrg)
+            ms = ribbon_to_monodromy(hrg, ticks, circles)
+            back, back_ticks = chain_to_ribbon(ms)
+        except (InvalidChain, NonterminatingTrace, ValueError) as exc:
+            roundtrip_failures.append({"class": idx, "reason": str(exc)})
             continue
-        key = monodromy_class_key(ms)
-        if key in seen_keys:
+        rebuilt = back.canonical_key(_tick_zero_root(back, back_ticks))
+        if rebuilt != hrg.canonical_key(_tick_zero_root(hrg, ticks)):
+            roundtrip_failures.append(
+                {"class": idx, "reason": "the rebuilt graph is not the original"}
+            )
+            continue
+        found = perm_classes.find(ms)
+        if found is None:
+            unmatched.append({"class": idx, "reason": "image is not a known permutation class"})
+            continue
+        position, perm_aut = found
+        if position in seen:
             unmatched.append({"class": idx, "reason": "two ribbon classes hit one permutation class"})
             continue
-        seen_keys[key] = idx
-        if key not in perm_by_key:
-            unmatched.append({"class": idx, "reason": "image is not a known permutation class"})
-        elif perm_by_key[key] != aut:
+        seen.add(position)
+        if perm_aut != aut:
             aut_mismatches.append(
-                {"class": idx, "ribbon_aut": aut, "permutation_aut": perm_by_key[key]}
+                {"class": idx, "ribbon_aut": aut, "permutation_aut": perm_aut}
             )
     return RoundtripReport(
         params,

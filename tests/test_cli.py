@@ -393,3 +393,43 @@ def test_roundtrip_command():
     doc = json.loads(out)
     assert doc["matched"] is True
     assert doc["classes_ribbon"] == doc["classes_permutation"] == 4
+
+
+def _fail_one_chain(monkeypatch):
+    """chain_to_ribbon raises InvalidChain on its first call only."""
+    from hurwitz import traffic
+    from hurwitz.core import InvalidChain
+
+    real = traffic.chain_to_ribbon
+    calls = []
+
+    def fails_first(ms):
+        calls.append(ms)
+        if len(calls) == 1:
+            raise InvalidChain("injected translation error")
+        return real(ms)
+
+    monkeypatch.setattr(traffic, "chain_to_ribbon", fails_first)
+    monkeypatch.delenv("HURWITZ_THREADS", raising=False)
+
+
+def test_roundtrip_translation_error_exits_two(monkeypatch):
+    # a failed cross-check, not a user error: the report is printed
+    _fail_one_chain(monkeypatch)
+    code, out, err = run_cli(["roundtrip", "--genus", "0", "--mu", "2,1", "--nu", "2,1"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["matched"] is False
+    assert doc["roundtrip_failures"] == [
+        {"class": 0, "reason": "injected translation error"}
+    ]
+
+
+def test_verify_translation_error_exits_two(monkeypatch):
+    _fail_one_chain(monkeypatch)
+    code, out, err = run_cli(["verify", "--max-d", "3", "--max-r", "2"])
+    assert (code, err) == (2, "")
+    doc = json.loads(out)
+    assert doc["all_agree"] is False
+    assert doc["first_failure"]["roundtrip_matched"] is False
+    assert sum(not res["roundtrip_matched"] for res in doc["results"]) == 1

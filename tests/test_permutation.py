@@ -441,6 +441,22 @@ def test_monodromy_class_keys_partition_the_stream():
         assert stream_keys == class_keys
 
 
+def test_class_lookup_finds_every_labeled_set():
+    """MonodromyClasses.find sends every set of the stream to its class:
+    the class whose key it shares, with that class's aut."""
+    for g, mu, nu in [(0, (2, 1), (2, 1)), (1, (2,), (2,)), (0, (2, 2), (3, 1))]:
+        params = hurwitz_params(g, mu, nu)
+        classes = P.monodromy_classes(params)
+        keys = [P.monodromy_class_key(ms) for ms, _ in classes]
+        for ms in P.enumerate_monodromy_sets(params):
+            position, aut = classes.find(ms)
+            assert keys[position] == P.monodromy_class_key(ms)
+            assert aut == classes[position][1]
+        other = P.monodromy_classes(hurwitz_params(g + 1, mu, nu))
+        with pytest.raises(ValueError):
+            other.find(ms)
+
+
 def test_r_zero_family():
     for d in range(1, 7):
         params = hurwitz_params(0, (d,), (d,))

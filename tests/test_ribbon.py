@@ -198,6 +198,15 @@ def skeletons_of_shape(shape):
     return [skel for skel, _ in R.enumerate_skeletons(*shape)]
 
 
+def relabel_weights(g, moved, pi, weights):
+    """weights of g's edges, re-indexed like the edges of moved =
+    relabel_darts(g, pi); None stays None."""
+    if weights is None:
+        return None
+    by_edge = {frozenset((pi[x], pi[y])): w for (x, y), w in zip(g.edges(), weights)}
+    return tuple(by_edge[frozenset(e)] for e in moved.edges())
+
+
 @st.composite
 def relabeled_skeleton(draw):
     """Any skeleton with r <= 4, a dart relabeling, and optional weights."""
@@ -216,13 +225,27 @@ def relabeled_skeleton(draw):
 def test_canonical_key_invariant_under_dart_relabeling(data):
     skel, pi, weights = data
     moved = relabel_darts(skel, pi)
-    moved_weights = None
-    if weights is not None:
-        by_edge = {
-            frozenset((pi[x], pi[y])): w for (x, y), w in zip(skel.edges(), weights)
-        }
-        moved_weights = tuple(by_edge[frozenset(e)] for e in moved.edges())
+    moved_weights = relabel_weights(skel, moved, pi, weights)
     assert moved.canonical_key(moved_weights) == skel.canonical_key(weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabeled_skeleton(), st.integers(0, 4 * 4 - 1))
+def test_rooted_key_invariant_under_dart_relabeling(data, raw_root):
+    """The key from a root dart does not change when the darts are renamed
+    and the root is renamed with them; the unrooted key is the least rooted
+    key at vertex 1."""
+    skel, pi, weights = data
+    root = raw_root % skel.map.num_darts
+    moved = relabel_darts(skel, pi)
+    moved_weights = relabel_weights(skel, moved, pi, weights)
+    assert moved.canonical_key(moved_weights, pi[root]) == skel.canonical_key(
+        weights, root
+    )
+    at_vertex_one = [x for x in range(skel.map.num_darts) if skel.vertex_label[x] == 1]
+    assert skel.canonical_key(weights) == min(
+        skel.canonical_key(weights, x) for x in at_vertex_one
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -273,3 +273,79 @@ def test_roundtrip_check_reports_match(g, mu, nu):
     assert not rep.aut_mismatches
     doc = rep.serialize()
     assert doc["matched"] is True
+
+
+# ---------------------------------------------------------------------------
+# the roundtrip report flags each kind of break
+
+
+def test_roundtrip_flags_a_rebuilt_graph_of_another_class(monkeypatch):
+    # every chain comes back as the graph of class 0, so only class 0
+    # survives the comparison
+    params = hurwitz_params(0, (2, 1), (2, 1))
+    hrg, _ = R.hurwitz_ribbon_classes(params)[0]
+    first = T.ribbon_to_monodromy(hrg, T.canonical_ticks(hrg))
+    real = T.chain_to_ribbon
+    monkeypatch.setattr(T, "chain_to_ribbon", lambda ms: real(first))
+    rep = T.roundtrip_check(params)
+    assert rep.classes_ribbon == 4
+    assert rep.roundtrip_failures == [
+        {"class": k, "reason": "the rebuilt graph is not the original"} for k in (1, 2, 3)
+    ]
+    assert not rep.matched
+
+
+def test_roundtrip_flags_a_missing_permutation_class(monkeypatch):
+    # the listing loses its last class: the class counts differ
+    params = hurwitz_params(0, (2, 1), (2, 1))
+    real = T.monodromy_classes
+
+    def one_short(params):
+        classes = real(params)
+        del classes[-1]
+        return classes
+
+    monkeypatch.setattr(T, "monodromy_classes", one_short)
+    rep = T.roundtrip_check(params)
+    assert (rep.classes_ribbon, rep.classes_permutation) == (4, 3)
+    assert not rep.matched
+    assert rep.serialize()["matched"] is False
+
+
+def test_roundtrip_flags_two_ribbon_classes_with_one_image(monkeypatch):
+    # class 1 is listed as a second copy of class 0: both translate to the
+    # same permutation class
+    params = hurwitz_params(0, (2, 1), (2, 1))
+    real = R.hurwitz_ribbon_classes
+
+    def doubled(params):
+        out = real(params)
+        out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(R, "hurwitz_ribbon_classes", doubled)
+    rep = T.roundtrip_check(params)
+    assert rep.classes_ribbon == rep.classes_permutation == 4
+    assert rep.roundtrip_failures == [] and rep.aut_mismatches == []
+    assert rep.unmatched == [
+        {"class": 1, "reason": "two ribbon classes hit one permutation class"}
+    ]
+    assert not rep.matched
+
+
+def test_roundtrip_records_a_translation_error_and_goes_on(monkeypatch):
+    params = hurwitz_params(0, (2, 1), (2, 1))
+    real = T.chain_to_ribbon
+    calls = []
+
+    def fails_once(ms):
+        calls.append(ms)
+        if len(calls) == 2:
+            raise InvalidChain("injected")
+        return real(ms)
+
+    monkeypatch.setattr(T, "chain_to_ribbon", fails_once)
+    rep = T.roundtrip_check(params)
+    assert len(calls) == 4
+    assert rep.roundtrip_failures == [{"class": 1, "reason": "injected"}]
+    assert rep.unmatched == [] and not rep.matched
