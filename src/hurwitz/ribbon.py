@@ -115,10 +115,14 @@ class CombinatorialMap:
         """face_of_dart[x] indexes the face through x in face_orbits."""
         return tuple(self._face_walk[1])
 
-    def edges(self) -> list:
-        """Edges as sorted dart pairs, in increasing order."""
+    @cached_property
+    def _edges(self) -> tuple:
         inv = self.edge_involution
-        return [(x, inv[x]) for x in range(self.num_darts) if x < inv[x]]
+        return tuple((x, inv[x]) for x in range(self.num_darts) if x < inv[x])
+
+    def edges(self) -> tuple:
+        """Edges as sorted dart pairs, in increasing order."""
+        return self._edges
 
     @cached_property
     def connected(self) -> bool:
@@ -214,7 +218,7 @@ class MNRRibbonGraph:
     def genus(self) -> int:
         return self.map.genus()
 
-    def edges(self) -> list:
+    def edges(self) -> tuple:
         return self.map.edges()
 
     def natural_dart(self, edge) -> int:

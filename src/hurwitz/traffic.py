@@ -351,8 +351,8 @@ def tropicalize(h: HurwitzRibbonGraph) -> MonodromyGraph:
     return monodromy_graph_of_chain(ribbon_to_monodromy(h, canonical_ticks(h)))
 
 
-def tropicalization_matrix(skeleton: MNRRibbonGraph):
-    """(tropical graph, integer matrix) for one skeleton, weight-free.
+def tropicalization_matrix(circles):
+    """(tropical graph, integer matrix) of step_circles(skeleton), weight-free.
 
     The circles of the step walks depend only on the map, so the tropical
     skeleton underneath every weighting is common, and the flow of each
@@ -361,9 +361,9 @@ def tropicalization_matrix(skeleton: MNRRibbonGraph):
     edge at most once, and row k of the matrix, for edge k of the returned
     graph, is the circle's 0/1 edge-incidence vector.
     """
-    steps, whites, grays, edge_of_nat = step_circles(skeleton)
+    steps, whites, grays, edge_of_nat = circles
     graph, behind = _collapse(
-        [{frozenset(c) for c in circles} for circles in steps],
+        [{frozenset(c) for c in step} for step in steps],
         [frozenset(c) for c in whites],
         [frozenset(c) for c in grays],
     )
@@ -376,8 +376,8 @@ def fiber_check(params: HurwitzParams):
     weight-free matrix reproduces every weighted tropicalization.
 
     Returns {tropical skeleton canonical form: [(hrg, aut, monodromy graph)]}.
-    Raises InconsistentFiber if any weighting of a skeleton lands on a
-    different tropical skeleton than the matrix predicts.
+    Raises InconsistentFiber unless the matrix flows of each weighting form a
+    monodromy graph of the same canonical form as its chain's tropicalization.
     """
     from .ribbon import hurwitz_ribbon_classes
 
@@ -386,16 +386,16 @@ def fiber_check(params: HurwitzParams):
     for hrg, aut in hurwitz_ribbon_classes(params):
         if hrg.skeleton is not skeleton:  # classes of one skeleton are adjacent
             skeleton = hrg.skeleton
-            graph, rows = tropicalization_matrix(skeleton)
-        mg = tropicalize(hrg)
-        predicted = sorted(
-            (t, h, sum(c * w for c, w in zip(row, hrg.weights)))
-            for (t, h), row in zip(graph.edges, rows)
-        )
-        actual = sorted(
-            (t, h, f) for (t, h), f in zip(mg.graph.edges, mg.flows)
-        )
-        if predicted != actual:
+            circles = step_circles(skeleton)
+            graph, rows = tropicalization_matrix(circles)
+        # one walk per skeleton serves its matrix and every weighting's chain
+        mg = monodromy_graph_of_chain(ribbon_to_monodromy(hrg, canonical_ticks(hrg), circles))
+        flows = tuple(sum(c * w for c, w in zip(row, hrg.weights)) for row in rows)
+        try:
+            predicted = MonodromyGraph(graph, flows, params).canonical_form()
+        except ValueError:
+            predicted = None
+        if predicted != mg.canonical_form():
             raise InconsistentFiber(
                 f"weighting {hrg.weights} leaves the common tropical skeleton"
             )

@@ -22,9 +22,11 @@ sink j.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 from .core import HurwitzParams, Partition, check_method_r
 
@@ -32,6 +34,16 @@ from .core import HurwitzParams, Partition, check_method_r
 def _node_key(node) -> str:
     kind, idx = node
     return f"{kind}{idx}"
+
+
+def _aut_order(entries) -> int:
+    """Label-fixing automorphisms permute equal entries among themselves:
+    the product of c! over the entries that occur c times."""
+    return prod(map(factorial, Counter(entries).values()))
+
+
+def _flow_form(edges, flows) -> tuple:
+    return tuple(sorted((t, h, f) for (t, h), f in zip(edges, flows)))
 
 
 @dataclass(frozen=True)
@@ -102,19 +114,9 @@ class TropicalGraph:
             if tail[0] == "v" and head[0] == "v"
         ]
 
-    def parallel_classes(self) -> list:
-        groups = {}
-        for k, e in enumerate(self.edges):
-            groups.setdefault(e, []).append(k)
-        return [tuple(v) for _, v in sorted(groups.items())]
-
     def aut_order(self) -> int:
         """Label-fixing automorphisms permute parallel edges freely."""
-        out = 1
-        for cls in self.parallel_classes():
-            for i in range(2, len(cls) + 1):
-                out *= i
-        return out
+        return _aut_order(self.edges)
 
     def canonical_form(self) -> tuple:
         return tuple(sorted(self.edges))
@@ -175,6 +177,14 @@ class MonodromyGraph:
                 balance[head[1]] = balance.get(head[1], 0) + f
         if any(v != 0 for v in balance.values()):
             raise ValueError("flow is not conserved at an internal vertex")
+
+    def canonical_form(self) -> tuple:
+        """Sorted (tail, head, flow) triples; equal forms, isomorphic graphs."""
+        return _flow_form(self.graph.edges, self.flows)
+
+    def aut_order(self) -> int:
+        """Flow-keeping automorphisms permute parallel edges of equal flow."""
+        return _aut_order(self.canonical_form())
 
     def serialize(self) -> dict:
         return self.graph.serialize(self.flows)
@@ -304,27 +314,16 @@ def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
 
 
 def monodromy_graph_classes(params: HurwitzParams):
-    """Isomorphism classes of monodromy graphs as (MonodromyGraph, aut_order)
-    where aut_order is the stabilizer of the flow vector in Aut(graph)."""
+    """Isomorphism classes of monodromy graphs as (MonodromyGraph, aut_order):
+    per listed graph, the first flow vector of each canonical form, in
+    sorted-form order."""
     check_method_r("tropical", params.r)
     out = []
-    for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
-        classes = {}
+    for graph, _ in enumerate_tropical_graphs(params.m, params.n, params.r):
+        first = {}
         for flows in flow_lattice_points(graph, params.mu, params.nu):
-            canon = []
-            for cls in graph.parallel_classes():
-                canon.append(tuple(sorted(flows[k] for k in cls)))
-            key = tuple(canon)
-            if key in classes:
-                continue
-            stab = 1
-            for part in key:
-                run = {}
-                for f in part:
-                    run[f] = run.get(f, 0) + 1
-                for c in run.values():
-                    for i in range(2, c + 1):
-                        stab *= i
-            classes[key] = (MonodromyGraph(graph, flows, params), stab)
-        out.extend(classes[k] for k in sorted(classes))
+            first.setdefault(_flow_form(graph.edges, flows), flows)
+        for form in sorted(first):
+            mg = MonodromyGraph(graph, first[form], params)
+            out.append((mg, mg.aut_order()))
     return out

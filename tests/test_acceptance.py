@@ -19,7 +19,7 @@ from hurwitz import traffic as T
 from hurwitz import tropical as TR
 
 from conftest import all_params
-from reference import apply_transposition
+from reference import apply_transposition, tropical_multiplicity
 
 
 def _announce(k, detail):
@@ -165,7 +165,7 @@ def test_criterion_7_wall_detection():
 
 
 def test_criterion_8_aggregate_tropicalization_identity():
-    checked = 0
+    checked = flow_classes = 0
     for params in all_params(5, 5):
         groups = T.fiber_check(params)  # InconsistentFiber would fail here
         tropical_sums = {}
@@ -184,8 +184,22 @@ def test_criterion_8_aggregate_tropicalization_identity():
         }
         assert ribbon_sums == tropical_sums, params
         checked += len(ribbon_sums)
+        # per flow class (T, f): the ribbon classes whose chains tropicalize
+        # to it weigh prod(interior flows of f) / |Aut(T, f)|
+        ribbon_flow_sums = {}
+        for members in groups.values():
+            for _, aut, mg in members:
+                form = mg.canonical_form()
+                ribbon_flow_sums[form] = ribbon_flow_sums.get(form, 0) + Fraction(1, aut)
+        tropical_flow_sums = {
+            mg.canonical_form(): Fraction(tropical_multiplicity(mg), mg.aut_order())
+            for mg, _ in TR.monodromy_graph_classes(params)
+        }
+        assert ribbon_flow_sums == tropical_flow_sums, params
+        flow_classes += len(tropical_flow_sums)
     _announce(
         8,
         f"per-tropical-skeleton 1/|Aut| sums equal multiplicity/|Aut| sums "
-        f"({checked} skeleton fibers, d <= 5)",
+        f"({checked} skeleton fibers), and so do the per-flow-class sums "
+        f"({flow_classes} flow classes), d <= 5",
     )

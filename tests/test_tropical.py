@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -318,7 +319,7 @@ def test_tropicalize_cut_join_sequence_matches_chain():
 def test_tropicalization_matrix_genus_one():
     params = hurwitz_params(1, (2,), (2,))
     skel = R.hurwitz_ribbon_classes(params)[0][0].skeleton
-    graph, rows = T.tropicalization_matrix(skel)
+    graph, rows = T.tropicalization_matrix(T.step_circles(skel))
     interior = graph.interior_edge_indices()
     supports = [tuple(k for k, c in enumerate(rows[e]) if c) for e in interior]
     assert len(supports) == 2
@@ -330,7 +331,7 @@ def test_tropicalization_matrix_boundary_rows_are_balancing_sums():
     params = hurwitz_params(0, (2, 1), (2, 1))
     for hrg, _ in R.hurwitz_ribbon_classes(params):
         skel = hrg.skeleton
-        graph, rows = T.tropicalization_matrix(skel)
+        graph, rows = T.tropicalization_matrix(T.step_circles(skel))
         white_rows = {}
         for (tail, head), row in zip(graph.edges, rows):
             if tail[0] == "s":
@@ -375,20 +376,15 @@ def test_aggregate_fiber_identity():
         assert ribbon_by_form == tropical_by_form, (g, mu, nu)
 
 
-def _flow_class(mg):
-    """A monodromy graph's (tail, head, flow) triples, sorted: all vertices
-    are labeled, so two graphs are isomorphic iff these agree."""
-    return tuple(sorted((*e, f) for e, f in zip(mg.graph.edges, mg.flows)))
-
-
 @pytest.mark.parametrize(
     "cases,flow_classes",
     [
         (lambda: all_params(4, 4), 655),
         # r = 6, beyond the ribbon method's range
         (lambda: [hurwitz_params(2, (3, 1), (2, 2))], 200),
+        (lambda: [hurwitz_params(2, (2, 1), (2, 1)), hurwitz_params(2, (4,), (2, 1, 1))], 242),
     ],
-    ids=["d4-r4", "r6"],
+    ids=["d4-r4", "r6", "r6-two-more"],
 )
 def test_per_flow_identity_on_the_chain_side(cases, flow_classes):
     """The monodromy classes whose chains collapse to one monodromy graph
@@ -397,15 +393,61 @@ def test_per_flow_identity_on_the_chain_side(cases, flow_classes):
     for params in cases():
         chain_side = {}
         for ms, aut in P.monodromy_classes(params):
-            key = _flow_class(T.monodromy_graph_of_chain(ms))
+            key = T.monodromy_graph_of_chain(ms).canonical_form()
             chain_side[key] = chain_side.get(key, 0) + Fraction(1, aut)
         graph_side = {
-            _flow_class(mg): Fraction(tropical_multiplicity(mg), stab)
-            for mg, stab in TR.monodromy_graph_classes(params)
+            mg.canonical_form(): Fraction(tropical_multiplicity(mg), mg.aut_order())
+            for mg, _ in TR.monodromy_graph_classes(params)
         }
         assert chain_side == graph_side, params
         checked += len(graph_side)
     assert checked == flow_classes
+
+
+def test_flow_stabilizer_by_orbit_stabilizer(small_params):
+    """Aut(T) permutes the flow vectors of T, and an orbit is the set of
+    vectors of one canonical form, so each class's aut_order is |Aut T| over
+    the number of vectors of its form."""
+    checked = nontrivial = 0
+    for params in small_params:
+        orbits = {}  # canonical form -> [|Aut T|, number of flow vectors]
+        for graph, graph_aut in TR.enumerate_tropical_graphs(params.m, params.n, params.r):
+            for flows in TR.flow_lattice_points(graph, params.mu, params.nu):
+                form = TR.MonodromyGraph(graph, flows, params).canonical_form()
+                orbits.setdefault(form, [graph_aut, 0])[1] += 1
+        for mg, aut in TR.monodromy_graph_classes(params):
+            graph_aut, size = orbits.pop(mg.canonical_form())
+            assert aut == mg.aut_order() and aut * size == graph_aut, params
+            checked += 1
+            nontrivial += aut > 1
+        assert not orbits, params
+    assert checked and nontrivial
+
+
+@functools.lru_cache(maxsize=None)
+def _classes_d4_r4():
+    return [mg for params in all_params(4, 4) for mg, _ in TR.monodromy_graph_classes(params)]
+
+
+@st.composite
+def reordered_class(draw):
+    """A monodromy graph class with d <= 4 and r <= 4, and the same graph
+    with its edges, flows alongside, listed in another order."""
+    mg = draw(st.sampled_from(_classes_d4_r4()))
+    order = draw(st.permutations(range(len(mg.flows))))
+    g = mg.graph
+    graph = TR.TropicalGraph(g.m, g.n, g.r, tuple(g.edges[k] for k in order))
+    return mg, TR.MonodromyGraph(graph, tuple(mg.flows[k] for k in order), mg.params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reordered_class())
+def test_canonical_form_and_aut_ignore_edge_order(data):
+    mg, moved = data
+    assert moved.canonical_form() == mg.canonical_form()
+    assert moved.aut_order() == mg.aut_order()
+    assert moved.graph.canonical_form() == mg.graph.canonical_form()
+    assert moved.graph.aut_order() == mg.graph.aut_order()
 
 
 def test_serialization():
