@@ -440,10 +440,14 @@ class _MapRecord(NamedTuple):
     lower: bytes  # lower bound of the weight on the dart's medial edge
 
 
-@lru_cache(maxsize=None)
-def _base_map_classes(r: int, m: int, n: int) -> list:
+def _base_map_classes(r: int, m: int, n: int, caps=None) -> list:
     """Isomorphism classes of connected maps with r labeled edges, m vertices
-    and n faces.
+    and n faces, restricted by caps = (total, white, gray) to the classes
+    whose lower bounds sum to at most total and whose every white face and
+    gray face needs at most white and gray; no caps means all classes.
+    Each cap is clamped at 2r, the largest sum there is, so caps that cannot
+    bind share the one table of all classes.  Each table is built once per
+    process; cache_info and cache_clear are those of the cache.
 
     A map is a rotation sigma on darts 0..2r-1 with edge k = {2k, 2k+1}; two
     rotations are isomorphic iff conjugate under the per-edge dart swaps t,
@@ -477,7 +481,21 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
     count can no longer end at exactly m or n is pruned, so only this
     bucket's leaves are reached, in the same order as in a search over all
     buckets.
+
+    Each open path also carries its need, the sum of the lower bounds of its
+    darts with a value, and the search the sum over all of them.  Needs only
+    grow, so a branch is pruned once the sum passes total or a path's need
+    passes its color's cap, and the table holds exactly the classes of the
+    bucket that meet the caps, still in lexicographic order.
     """
+    most = 2 * r
+    caps = tuple(min(c, most) for c in caps or (most,) * 3)
+    return _map_table(r, m, n, caps)
+
+
+@lru_cache(maxsize=None)
+def _map_table(r: int, m: int, n: int, caps: tuple) -> list:
+    """_base_map_classes(r, m, n, caps) with caps clamped."""
     nd = 2 * r
     tables = _swap_tables(r)
     out = []
@@ -485,18 +503,26 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
     used = [False] * nd
     # Open paths of a partial permutation p: start[x] is the first dart of the
     # path ending at a dart x with p(x) unassigned, end[y] the last dart of the
-    # path starting at a dart y outside the image.  Index 0 follows sigma,
-    # index 1 follows phi; closed counts their cycles.
+    # path starting at a dart y outside the image, need[y] the need of that
+    # path, or of the cycle closed at y.  Index 0 follows sigma, index 1
+    # follows phi; closed counts their cycles, and total sums the bounds.
     start = (list(range(nd)), list(range(nd)))
     end = (list(range(nd)), list(range(nd)))
+    need = ([0] * nd, [0] * nd)
     closed = [0, 0]
+    total = 0
     target = (m, n)
+    total_cap, face_cap = caps[0], caps[1:]
 
     def link(x, u):
         """Set sigma(x) = u; False if the cycle counts can no longer reach
-        (m, n) with the darts after x still unassigned."""
+        (m, n) with the darts after x still unassigned, or a need passes its
+        cap."""
+        nonlocal total
         left = nd - 1 - x
-        ok = True
+        low = x // 2 >= u // 2
+        total += low
+        ok = total <= total_cap
         for p, y in ((0, u), (1, u ^ 1)):
             s, e = start[p][x], end[p][y]
             if s == y:
@@ -504,18 +530,27 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
             else:
                 start[p][e] = s
                 end[p][s] = e
+                need[p][s] += need[p][y]
+            need[p][s] += low
+            if need[p][s] > face_cap[p]:
+                ok = False
             if not closed[p] + (left > 0) <= target[p] <= closed[p] + left:
                 ok = False
         return ok
 
     def unlink(x, u):
+        nonlocal total
+        low = x // 2 >= u // 2
+        total -= low
         for p, y in ((0, u), (1, u ^ 1)):
             s, e = start[p][x], end[p][y]
+            need[p][s] -= low
             if s == y:
                 closed[p] -= 1
             else:
                 start[p][e] = y
                 end[p][s] = x
+                need[p][s] -= need[p][y]
 
     trivial = (tables[0],)
 
@@ -583,6 +618,10 @@ def _base_map_classes(r: int, m: int, n: int) -> list:
 
     extend(0, tables[1:])
     return out
+
+
+_base_map_classes.cache_info = _map_table.cache_info
+_base_map_classes.cache_clear = _map_table.cache_clear
 
 
 def _build_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbonGraph:
@@ -766,16 +805,17 @@ def _weighted_records(params: HurwitzParams):
     """Yield (record, cells, white orderings, gray orderings) for each table
     record that some ordering of mu on its white faces and of nu on its gray
     faces may weight: every part must cover its face's need, the sum of the
-    lower bounds on the face."""
-    mu_orders = _distinct_orderings(params.mu.parts)
-    nu_orders = _distinct_orderings(params.nu.parts)
-    for record in _base_map_classes(params.r, params.m, params.n):
-        lower = record.lower
-        if sum(lower) > params.d:
-            continue
+    lower bounds on the face.  The table holds only the records whose needs
+    sum to at most d and whose every need is at most the largest part of its
+    color."""
+    mu, nu = params.mu.parts, params.nu.parts
+    mu_orders = _distinct_orderings(mu)
+    nu_orders = _distinct_orderings(nu)
+    caps = (params.d, max(mu), max(nu))
+    for record in _base_map_classes(params.r, params.m, params.n, caps):
         w_need = [0] * params.m
         g_need = [0] * params.n
-        for i, j, low in zip(record.white, record.gray, lower):
+        for i, j, low in zip(record.white, record.gray, record.lower):
             w_need[i] += low
             g_need[j] += low
         white_orders = [a for a in mu_orders if all(map(ge, a, w_need))]

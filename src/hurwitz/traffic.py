@@ -345,12 +345,6 @@ def monodromy_graph_of_chain(ms: MonodromySet) -> MonodromyGraph:
     return MonodromyGraph(graph, tuple(len(c) for c in behind), ms.params)
 
 
-def tropicalize(h: HurwitzRibbonGraph) -> MonodromyGraph:
-    """Run the traffic algorithm and collapse each circle to a tropical edge;
-    the flow is the circle's total weight (its number of tick marks)."""
-    return monodromy_graph_of_chain(ribbon_to_monodromy(h, canonical_ticks(h)))
-
-
 def tropicalization_matrix(circles):
     """(tropical graph, integer matrix) of step_circles(skeleton), weight-free.
 

@@ -29,7 +29,9 @@ sigma_0 by a pruned walk (``permutation._completions``);
 ``brute_force_completions`` scans every r-tuple of transpositions.
 
 Translation helpers for tests: ``ribbon_to_chain`` (the sigma chain of a
-weighted ribbon graph), ``relabeled`` (a tick assignment under a bijection)
+weighted ribbon graph), ``relabeled`` (a tick assignment under a bijection),
+``tropicalize`` (the monodromy graph of a weighted ribbon graph's chain;
+``traffic.fiber_check`` builds the same graphs from shared step circles)
 and ``tropical_multiplicity`` (product of interior flows).
 
 Medial construction: ``medial_graph`` builds the 4-valent map of a map with
@@ -189,6 +191,14 @@ def relabeled(ticks, pi):
     return T.TickAssignment(
         tuple(tuple(pi[t] for t in ts) for ts in ticks.per_edge)
     )
+
+
+def tropicalize(hrg):
+    """The monodromy graph of a weighted ribbon graph's chain from its
+    canonical ticks: each circle of the step walks becomes a tropical edge
+    whose flow is the circle's total weight (its number of tick marks)."""
+    ms = T.ribbon_to_monodromy(hrg, T.canonical_ticks(hrg))
+    return T.monodromy_graph_of_chain(ms)
 
 
 def tropical_multiplicity(mg) -> int:

