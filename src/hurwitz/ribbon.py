@@ -339,33 +339,41 @@ def _canonical_key(g: MNRRibbonGraph, weights=None, root=None):
 # the medial construction
 
 
-def _medial_vertex_label(cmap: CombinatorialMap) -> tuple:
-    """Medial vertex k owns darts 4k..4k+3 and carries label k + 1."""
-    return tuple(x // 4 + 1 for x in range(cmap.num_darts))
-
-
-def _medial_from_sigma(sigma: tuple) -> CombinatorialMap:
-    """4-valent map of the medial construction for a map given as a rotation
-    sigma on darts 0..2r-1 with edge k = {2k, 2k+1}.
-
-    Medial darts: out_a = 2a, in_a = 2a+1; vertex k owns 4k..4k+3 in
-    counterclockwise order (out_{2k}, in_{2k}, out_{2k+1}, in_{2k+1}); the
-    involution pairs out_a with in_{sigma(a)}.
-    """
-    two_r = len(sigma)
-    n = 2 * two_r
-    rotation = [0] * n
-    for k in range(two_r // 2):
-        b = 4 * k
-        rotation[b] = b + 1
-        rotation[b + 1] = b + 2
-        rotation[b + 2] = b + 3
-        rotation[b + 3] = b
+def medial_map(sigma) -> CombinatorialMap:
+    """The 4-valent medial map of the map given as a rotation sigma on darts
+    0..2r-1, edge k = {2k, 2k+1}; medial_skeleton states its layout."""
+    n = 2 * len(sigma)
     inv = [0] * n
-    for a in range(two_r):
-        inv[2 * a] = 2 * sigma[a] + 1
-        inv[2 * sigma[a] + 1] = 2 * a
-    return CombinatorialMap(tuple(rotation), tuple(inv))
+    for a, b in enumerate(sigma):
+        inv[2 * a] = 2 * b + 1
+        inv[2 * b + 1] = 2 * a
+    rotation = tuple(x - x % 4 + (x + 1) % 4 for x in range(n))
+    return CombinatorialMap(rotation, tuple(inv))
+
+
+def medial_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbonGraph:
+    """The labeled skeleton on cmap = medial_map(sigma).
+
+    Sigma dart a has the out-dart 2a and the in-dart 2a+1.  Vertex k+1 owns
+    darts 4k..4k+3 in counterclockwise order (out, in, out, in of the sigma
+    darts 2k and 2k+1), and the edge of out-dart 2a arrives at in-dart
+    2 sigma(a)+1.  The face through in-dart 2a+1 is white, a's sigma cycle,
+    labeled white_label[a]; the face through out-dart 2a is gray, a's cycle
+    of x -> sigma(x)^1, labeled gray_label[a].  So out-dart 2a is the natural
+    dart of its edge, and skeleton edge k carries the sigma dart
+    natural_dart(edge k) // 2.
+    """
+    colors = []
+    labels = []
+    for f in cmap.face_orbits:
+        if f[0] % 2:
+            colors.append("white")
+            labels.append(white_label[f[0] // 2])
+        else:
+            colors.append("gray")
+            labels.append(gray_label[f[0] // 2])
+    vertex_label = tuple(x // 4 + 1 for x in range(cmap.num_darts))
+    return MNRRibbonGraph(cmap, vertex_label, tuple(colors), tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -624,24 +632,6 @@ _base_map_classes.cache_info = _map_table.cache_info
 _base_map_classes.cache_clear = _map_table.cache_clear
 
 
-def _build_skeleton(cmap: CombinatorialMap, white_label, gray_label) -> MNRRibbonGraph:
-    """The labeled skeleton on cmap = _medial_from_sigma(sigma): the face
-    through in-dart 2a+1 is white with label white_label[a], the face through
-    out-dart 2a gray with label gray_label[a]."""
-    colors = []
-    labels = []
-    for f in cmap.face_orbits:
-        if f[0] % 2 == 1:
-            colors.append("white")
-            labels.append(white_label[f[0] // 2])
-        else:
-            colors.append("gray")
-            labels.append(gray_label[f[0] // 2])
-    return MNRRibbonGraph(
-        cmap, _medial_vertex_label(cmap), tuple(colors), tuple(labels)
-    )
-
-
 def _record_classes(record, m: int, n: int, weightings):
     """Yield (skeleton, weighting, aut) for each orbit of one table record's
     (white labeling, gray labeling, weighting) triples under its swap
@@ -682,8 +672,8 @@ def _record_classes(record, m: int, n: int, weightings):
                 if min(images) < item:
                     continue
                 if skeleton is None:
-                    cmap = cmap or _medial_from_sigma(sigma)
-                    skeleton = _build_skeleton(
+                    cmap = cmap or medial_map(sigma)
+                    skeleton = medial_skeleton(
                         cmap, [vlab[i] for i in wi], [glab[j] for j in gi]
                     )
                 yield skeleton, w, images.count(item)
@@ -860,7 +850,7 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     """All weighted ribbon graph classes as (HurwitzRibbonGraph, aut_order).
 
     The weight tuple of the built object is re-indexed from sigma darts to
-    skeleton edge order.
+    skeleton edge order: edge k carries sigma dart natural_dart(edge k) // 2.
     """
     check_method_r("ribbon", params.r)
     mu, nu = params.mu, params.nu
@@ -878,11 +868,9 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
                 cache[a, b] = _cell_weightings(cells, record.lower, a, b)
             return cache[a, b]
 
-        # skeleton edge k is the medial edge {2x, 2 sigma(x)+1} with the k-th
-        # smallest least dart; its even dart names the sigma dart x
-        sigma = record.sigma
-        index = sorted(range(len(sigma)), key=lambda x: min(2 * x, 2 * sigma[x] + 1))
+        darts = None  # the skeletons of one record share one map
         for skeleton, w, aut in _record_classes(record, params.m, params.n, weightings):
-            weights = tuple(w[x] for x in index)
+            darts = darts or [skeleton.natural_dart(e) // 2 for e in skeleton.edges()]
+            weights = tuple(w[x] for x in darts)
             out.append((HurwitzRibbonGraph(skeleton, weights, params), aut))
     return out

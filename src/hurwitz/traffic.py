@@ -21,7 +21,9 @@ Vertex i, for tau_i = (x y), enters with one rule of six links: what led to
 x now runs into vertex i and out to y, what led to y runs in and out to x.
 That turns the boundary permutation from sigma_{i-1} into sigma_i, cutting
 a circle when x and y share it and joining two otherwise; gray disks close
-the surface at the end.
+the surface at the end.  The pointers then read off a map sigma on 2r darts
+with tau_i as edge i, and the ribbon graph is its medial graph, built like
+every table skeleton by ribbon.medial_map and ribbon.medial_skeleton.
 
 Tropicalization: each circle of the step walks becomes a tropical edge whose
 flow is the circle's weight, so a weighted ribbon graph maps to a monodromy
@@ -53,7 +55,7 @@ from .permutation import (
     monodromy_classes,
     sigma_chain,
 )
-from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph, CombinatorialMap
+from .ribbon import HurwitzRibbonGraph, MNRRibbonGraph, medial_map, medial_skeleton
 from .tropical import MonodromyGraph, TropicalGraph
 
 
@@ -201,9 +203,9 @@ def chain_to_ribbon(ms: MonodromySet):
     with the tick assignment that reproduces the chain verbatim.
 
     The boundary circles are successor pointers nxt over items: tick t is
-    item t, and germ k is item d + k.  Vertex i owns germs 4(i-1)..4(i-1)+3
-    in counterclockwise order (out_x, in_x, out_y, in_y).  The pointers start
-    as nxt = sigma_0, one white disk per cycle.  Step i with tau_i = (x y)
+    item t, and germ k is item d + k.  Vertex i owns germs 4(i-1)..4(i-1)+3,
+    in order (out_x, in_x, out_y, in_y).  The pointers start as
+    nxt = sigma_0, one white disk per cycle.  Step i with tau_i = (x y)
     sets six links,
 
         prev[x] -> in_x -> out_y -> y    and    prev[y] -> in_y -> out_x -> x,
@@ -215,13 +217,15 @@ def chain_to_ribbon(ms: MonodromySet):
     prev[x], and the circle is cut in two; on two circles each path runs on
     into the other circle and they join into one.
 
-    Reading the map: from each out-germ, nxt runs over the ticks of one edge
-    and stops at the germ where the edge arrives, an in-germ (an in-germ is
-    always followed by an out-germ, so every tick after a germ is met).  Out
-    germs bound gray faces and in-germs white ones.  A white face keeps the
-    ticks of its cycle of sigma_0, a gray face those of a cycle of sigma_r,
-    which is a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked;
-    each face takes the label of that cycle, read at any one of its ticks.
+    Reading the map: germs 2a and 2a+1 are the out- and in-germ of dart a
+    of a map sigma whose edge i is {2i-2, 2i-1}.  From out-germ 2a, nxt runs
+    over the ticks of one edge to the in-germ 2 sigma(a)+1 where it arrives
+    (an in-germ is always followed by an out-germ, so every tick after a
+    germ is met), and the skeleton is the medial graph of sigma.  A white
+    face, a cycle of sigma, keeps the ticks of a cycle of sigma_0, a gray
+    face, a cycle of x -> sigma(x)^1, those of a cycle of sigma_r, which is
+    a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked; each face
+    takes the label of that cycle, read at any one of its ticks.
     """
     params = ms.params
     d, r = params.d, params.r
@@ -246,45 +250,33 @@ def chain_to_ribbon(ms: MonodromySet):
     if compose(ms.sigma_inf.perm, sigma_chain(ms)[-1]) != tuple(range(d)):
         raise InvalidChain("sigma_inf . sigma_r is not the identity")
 
-    n_darts = 4 * r
-    involution = [None] * n_darts
-    ticks_of = {}  # out-germ -> ticks of its edge, along the edge
-    for out in range(0, n_darts, 2):
+    sigma = []  # the edge from out-germ 2a arrives at in-germ 2 sigma(a)+1
+    ticks_of = []  # and carries the ticks ticks_of[a]
+    for a in range(2 * r):
         ticks = []
-        item = nxt[d + out]
+        item = nxt[d + 2 * a]
         while item < d:
             ticks.append(item)
             item = nxt[item]
         if (item - d) % 2 == 0:
             raise InvalidChain("malformed boundary: out-germ meets out-germ")
-        involution[out] = item - d
-        involution[item - d] = out
-        ticks_of[out] = tuple(ticks)
-    if sum(map(len, ticks_of.values())) != d:
+        sigma.append((item - d) // 2)
+        ticks_of.append(tuple(ticks))
+    if sum(map(len, ticks_of)) != d:
         raise InvalidChain("a boundary circle never met a vertex")
 
-    rotation = tuple(x - x % 4 + (x + 1) % 4 for x in range(n_darts))
-    cmap = CombinatorialMap(rotation, tuple(involution))
-    white = [0] * d  # tick -> label of its cycle
-    gray = [0] * d
-    for label_of, labeled in ((white, ms.sigma0), (gray, ms.sigma_inf)):
-        for k, c in enumerate(labeled.cycles_by_label, 1):
-            for t in c:
-                label_of[t] = k
-    colors = []
-    labels = []
-    for face in cmap.face_orbits:
-        if face[0] % 2 == 0:  # out-germs: the face on the walker's right
-            colors.append("gray")
-            labels.append(gray[next(t for x in face for t in ticks_of[x])])
-        else:
-            colors.append("white")
-            labels.append(white[next(t for x in face for t in ticks_of[involution[x]])])
-
-    vertex_label = tuple(x // 4 + 1 for x in range(n_darts))
-    per_edge = tuple(ticks_of[x if x % 2 == 0 else y] for x, y in cmap.edges())
+    face_labels = []  # per sigma dart, its white face's label, then its gray one's
+    for perm, labeled in ((sigma, ms.sigma0), ([b ^ 1 for b in sigma], ms.sigma_inf)):
+        label_of = {t: k for k, c in enumerate(labeled.cycles_by_label, 1) for t in c}
+        labels = [0] * (2 * r)
+        for cycle in cycles(perm):
+            label = label_of[next(t for a in cycle for t in ticks_of[a])]
+            for a in cycle:
+                labels[a] = label
+        face_labels.append(labels)
     try:  # a chain that is not transitive, or labels that miss mu or nu
-        skeleton = MNRRibbonGraph(cmap, vertex_label, tuple(colors), tuple(labels))
+        skeleton = medial_skeleton(medial_map(sigma), *face_labels)
+        per_edge = tuple(ticks_of[skeleton.natural_dart(e) // 2] for e in skeleton.edges())
         hrg = HurwitzRibbonGraph(skeleton, tuple(map(len, per_edge)), params)
     except ValueError as e:
         raise InvalidChain(str(e)) from e

@@ -186,6 +186,10 @@ class MonodromyGraph:
         """Flow-keeping automorphisms permute parallel edges of equal flow."""
         return _aut_order(self.canonical_form())
 
+    def multiplicity(self) -> int:
+        """The product of the flows on interior edges."""
+        return prod(self.flows[k] for k in self.graph.interior_edge_indices())
+
     def serialize(self) -> dict:
         return self.graph.serialize(self.flows)
 
@@ -300,17 +304,11 @@ def flow_lattice_points(t: TropicalGraph, mu: Partition, nu: Partition) -> list:
 
 
 def count_hurwitz_tropical(params: HurwitzParams) -> Fraction:
-    """Weighted sum of multiplicity/|Aut| over all monodromy graphs."""
-    check_method_r("tropical", params.r)
-    total = Fraction(0)
-    for graph, aut in enumerate_tropical_graphs(params.m, params.n, params.r):
-        interior = graph.interior_edge_indices()
-        for flows in flow_lattice_points(graph, params.mu, params.nu):
-            mult = 1
-            for k in interior:
-                mult *= flows[k]
-            total += Fraction(mult, aut)
-    return total
+    """Sum of multiplicity/|Aut| over the monodromy graph classes; by
+    orbit-stabilizer, the sum over every graph and each of its flows of
+    multiplicity/|Aut(graph)|."""
+    classes = monodromy_graph_classes(params)
+    return Fraction(sum(Fraction(mg.multiplicity(), aut) for mg, aut in classes))
 
 
 def monodromy_graph_classes(params: HurwitzParams):

@@ -35,8 +35,9 @@ weighted ribbon graph), ``relabeled`` (a tick assignment under a bijection),
 and ``tropical_multiplicity`` (product of interior flows).
 
 Medial construction: ``medial_graph`` builds the 4-valent map of a map with
-labeled vertices, faces and edges (``LabeledMap``) through the same routines
-the skeleton tables use.
+labeled vertices, faces and edges (``LabeledMap``) through the public
+``ribbon.medial_map`` and ``ribbon.medial_skeleton``, the one builder behind
+every table skeleton and every graph ``traffic.chain_to_ribbon`` rebuilds.
 """
 
 import itertools
@@ -377,8 +378,8 @@ def medial_graph(gm: LabeledMap) -> R.MNRRibbonGraph:
     # carrying a; the gray face through out-dart 2a is the input face whose
     # orbit contains the partner dart of a
     inv = base.edge_involution
-    return R._build_skeleton(
-        R._medial_from_sigma(tuple(new[base.rotation[x]] for x in old)),
+    return R.medial_skeleton(
+        R.medial_map(tuple(new[base.rotation[x]] for x in old)),
         [gm.vertex_label[x] for x in old],
         [gm.face_label[base.face_of_dart[inv[x]]] for x in old],
     )

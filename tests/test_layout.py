@@ -77,6 +77,22 @@ def test_private_helpers_have_a_library_caller():
     assert offenders == []
 
 
+def test_only_ribbon_builds_combinatorial_maps():
+    """Every 4-valent map comes from ribbon's one medial construction: no
+    other module calls CombinatorialMap(...)."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ribbon.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "CombinatorialMap":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 # Runs the CLI (or, with no arguments, only imports it) in a fresh
 # interpreter and prints the package modules it loaded, one JSON line last.
 _LOADED = """

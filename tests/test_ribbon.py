@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -980,3 +981,35 @@ def test_dot_output_mentions_orientation():
     skel, _ = pair
     dot = skel.to_dot(weights=(0, 0, 1, 1))
     assert "w=1; 2->1" in dot or "w=1; 1->2" in dot
+
+
+def _all_records():
+    """Every table record with r <= 4, as (r, m, n, record)."""
+    return [
+        (r, m, n, record)
+        for r in range(1, 5)
+        for m, n in _buckets(r)
+        for record in R._base_map_classes(r, m, n)
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_medial_layout_rule(seed):
+    """The layout both skeleton builders rely on, on every table record with
+    r <= 4 under a face labeling drawn from the seed: every edge's natural
+    dart is even, the face through in-dart 2a+1 is a's white face (its sigma
+    cycle) and the face through out-dart 2a its gray face, each with a's
+    label."""
+    rnd = random.Random(seed)
+    for r, m, n, record in _all_records():
+        vlab, glab = rnd.sample(range(1, m + 1), m), rnd.sample(range(1, n + 1), n)
+        white = [vlab[i] for i in record.white]
+        gray = [glab[j] for j in record.gray]
+        skel = R.medial_skeleton(R.medial_map(record.sigma), white, gray)
+        assert all(skel.natural_dart(e) % 2 == 0 for e in skel.edges())
+        face_of = skel.face_of_dart
+        for a in range(2 * r):
+            wf, gf = face_of[2 * a + 1], face_of[2 * a]
+            assert (skel.face_color[wf], skel.face_label[wf]) == ("white", white[a])
+            assert (skel.face_color[gf], skel.face_label[gf]) == ("gray", gray[a])

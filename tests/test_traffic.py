@@ -246,6 +246,36 @@ def test_chain_to_ribbon_commutes_with_relabeling(data):
     assert T.ribbon_to_monodromy(moved_hrg, moved_ticks) == moved
 
 
+@pytest.mark.parametrize(
+    "g, mu, nu, count, aut_two",
+    [
+        (2, (2, 1), (2, 1), 364, 0),
+        (3, (2,), (2,), 1, 1),
+        (3, (4,), (4,), 5856, 32),
+    ],
+)
+def test_chain_to_ribbon_past_the_tables(g, mu, nu, count, aut_two):
+    """At r = 6, which no ribbon table reaches, every permutation class
+    becomes a genus-g ribbon graph whose ticks give the chain back verbatim;
+    the graphs are pairwise non-isomorphic, and each has as many
+    automorphisms as its chain: the vertex-1 roots whose rooted key equals
+    the first one's."""
+    params = hurwitz_params(g, mu, nu)
+    assert params.r == 6
+    classes = P.monodromy_classes(params)
+    keys = set()
+    for ms, aut in classes:
+        hrg, ticks = T.chain_to_ribbon(ms)
+        assert T.ribbon_to_monodromy(hrg, ticks) == ms
+        assert hrg.skeleton.genus() == g
+        keys.add(hrg.canonical_key())
+        vertex_label = hrg.skeleton.vertex_label
+        rooted = [hrg.canonical_key(x) for x, v in enumerate(vertex_label) if v == 1]
+        assert rooted.count(rooted[0]) == aut
+    assert len(keys) == len(classes) == count
+    assert sum(aut == 2 for _, aut in classes) == aut_two
+
+
 def test_roundtrip_identity_small(small_params):
     for params in small_params:
         for hrg, _ in R.hurwitz_ribbon_classes(params):

@@ -226,6 +226,21 @@ def test_count_agrees_with_permutations(small_params):
         ), params
 
 
+def test_count_is_the_sum_over_graphs_and_lattice_points():
+    """The class sum equals the sum over every listed graph and each of its
+    flow vectors of multiplicity / |Aut(graph)|, and each class's
+    multiplicity is the reference product of interior flows."""
+    for params in all_params(4, 4):
+        direct = Fraction(0)
+        for graph, aut in TR.enumerate_tropical_graphs(params.m, params.n, params.r):
+            for flows in TR.flow_lattice_points(graph, params.mu, params.nu):
+                mg = TR.MonodromyGraph(graph, flows, params)
+                direct += Fraction(tropical_multiplicity(mg), aut)
+        assert TR.count_hurwitz_tropical(params) == direct, params
+        for mg, _ in TR.monodromy_graph_classes(params):
+            assert mg.multiplicity() == tropical_multiplicity(mg)
+
+
 @st.composite
 def tropical_hurwitz_data(draw):
     """(g, mu, nu) with d <= 6 and 1 <= r <= 5, parts in arbitrary order."""
