@@ -15,9 +15,10 @@ self-consistent readings; the count is independent of the choice (tested), and
 this one makes sigma_i = tau_i ... tau_1 sigma_0 a chain whose successive
 quotients are single transpositions.
 
-The count and the listing both fix one sigma_0 and grow the chain one
-transposition at a time; the count sums over orbit states, the listing walks
-the transpositions and conjugates the chains to every other sigma_0.  Both
+The count and the listings fix one sigma_0 and grow the chain one
+transposition at a time; the count sums over orbit states, the listings walk
+the transpositions as pairs (i, j), i < j, and the set stream conjugates the
+walk to every other sigma_0 by the pi its first labeling spells out.  All
 drop a partial chain by one rule, _feasible.
 """
 
@@ -211,13 +212,6 @@ def _labeled_cycles(p: Perm, target: Partition):
         yield tuple(by_label)
 
 
-def admissible_labelings(p: Perm, target: Partition):
-    """Yield every labeling of p's cycles with label i on a cycle of length
-    target_i.  Empty if cycle_type(p) != target as multisets."""
-    for by_label in _labeled_cycles(p, target):
-        yield LabeledPermutation(p, by_label)
-
-
 @dataclass(frozen=True)
 class MonodromySet:
     sigma0: LabeledPermutation
@@ -293,8 +287,9 @@ def _feasible(orbits: int, cycles: int, n: int, steps: int) -> bool:
 
 
 def _completions(sigma0: Perm, params: HurwitzParams):
-    """All (tau_1..tau_r, sigma_r) completing a fixed sigma0 to a transitive
-    chain ending in type nu, in lexicographic order of the transposition pairs.
+    """All (pairs, sigma_r) completing a fixed sigma0 to a transitive chain
+    ending in type nu, where pairs lists tau_1..tau_r as their moved points
+    (i, j), i < j, in lexicographic order of the pairs.
 
     The DFS carries each point's orbit label under <sigma_0, tau_1..tau_k>
     and the orbit count, and prunes every node by _feasible, so a leaf (the
@@ -304,25 +299,23 @@ def _completions(sigma0: Perm, params: HurwitzParams):
     """
     d, r, n = params.d, params.r, params.n
     want = sorted(params.nu.parts, reverse=True)
-    pairs = [
-        (i, j, transposition(d, i, j)) for i, j in itertools.combinations(range(d), 2)
-    ]
+    moves = list(itertools.combinations(range(d), 2))
     results = []
 
-    def dfs(sigma: list, inv: list, orbit: tuple, k: int, taus: tuple):
-        steps = r - len(taus)
+    def dfs(sigma: list, inv: list, orbit: tuple, k: int, pairs: tuple):
+        steps = r - len(pairs)
         if not _feasible(k, num_cycles(sigma), n, steps):
             return
         if steps == 0:
             if sorted(map(len, cycles(sigma)), reverse=True) == want:
-                results.append((taus, tuple(sigma)))
+                results.append((pairs, tuple(sigma)))
             return
-        for i, j, tau in pairs:
+        for i, j in moves:
             a, b = orbit[i], orbit[j]
             joined = orbit if a == b else tuple(a if o == b else o for o in orbit)
             x, y = inv[i], inv[j]
             sigma[x], sigma[y], inv[i], inv[j] = j, i, y, x
-            dfs(sigma, inv, joined, k - (a != b), taus + (tau,))
+            dfs(sigma, inv, joined, k - (a != b), pairs + ((i, j),))
             sigma[x], sigma[y], inv[i], inv[j] = i, j, x, y
 
     cs = cycles(sigma0)
@@ -333,54 +326,45 @@ def _completions(sigma0: Perm, params: HurwitzParams):
     return results
 
 
-def _conjugator(rep: Perm, p: Perm) -> Perm:
-    """A pi with p = pi . rep . pi^-1, for p of the same cycle type as rep:
-    it maps each cycle of rep onto a cycle of p of the same length."""
-    pool = {}
-    for c in cycles(p):
-        pool.setdefault(len(c), []).append(c)
-    pi = [0] * len(p)
-    for c in cycles(rep):
-        for x, y in zip(c, pool[len(c)].pop()):
-            pi[x] = y
-    return tuple(pi)
-
-
-def _conjugate_completions(comps: list, pi: Perm, tau: dict) -> list:
+def _conjugate_completions(comps: list, pi: Perm) -> list:
     """pi . comps . pi^-1 for comps given as (transposition pairs, sigma_r),
     sorted back into the lexicographic order of the pairs that _completions
-    lists them in; tau maps each pair to its transposition."""
-    image = {q: tuple(sorted(pi[x] for x in q)) for q in tau}
+    lists them in."""
     pinv = inverse(pi)
-    moved = sorted(
-        (tuple(image[q] for q in qs), tuple(pi[sigma[x]] for x in pinv))
-        for qs, sigma in comps
+    return sorted(
+        (
+            tuple(
+                (pi[i], pi[j]) if pi[i] < pi[j] else (pi[j], pi[i]) for i, j in pairs
+            ),
+            tuple(pi[sigma[x]] for x in pinv),
+        )
+        for pairs, sigma in comps
     )
-    return [(tuple(tau[q] for q in qs), sigma) for qs, sigma in moved]
 
 
 def enumerate_monodromy_sets(params: HurwitzParams):
     """Yield every (mu, nu, g)-monodromy set exactly once, labelings included,
     in a deterministic order.
 
-    The chains are walked once, from canonical_perm_of_type(mu); every other
-    sigma_0 of type mu = pi . rep . pi^-1 takes them conjugated by pi.  The
-    sigma_inf labelings of a conjugated chain do not depend on the labeling
-    of sigma_0, so they are built once per sigma_0."""
+    The chains are walked once, from rep = canonical_perm_of_type(mu).  Every
+    other sigma_0 = p of type mu takes them conjugated by pi, the cycles of
+    p's first labeling listed block by block: pi sends block k of rep onto
+    the cycle labeled k + 1, so p = pi . rep . pi^-1.  The sigma_inf
+    labelings of a conjugated chain do not depend on the labeling of
+    sigma_0, so they are built once per sigma_0."""
     mu, nu, d = params.mu, params.nu, params.d
-    rep = canonical_perm_of_type(mu)
+    base = _completions(canonical_perm_of_type(mu), params)
     tau = {q: transposition(d, *q) for q in itertools.combinations(range(d), 2)}
-    pair = {t: q for q, t in tau.items()}
-    base = [
-        (tuple(pair[t] for t in taus), sigma)
-        for taus, sigma in _completions(rep, params)
-    ]
     for p in perms_of_type(d, mu):
-        comps = [
-            (taus, list(admissible_labelings(inverse(sigma_r), nu)))
-            for taus, sigma_r in _conjugate_completions(base, _conjugator(rep, p), tau)
-        ]
-        for lab0 in admissible_labelings(p, mu):
+        labelings = list(_labeled_cycles(p, mu))
+        pi = tuple(x for c in labelings[0] for x in c)
+        comps = []
+        for pairs, sigma_r in _conjugate_completions(base, pi):
+            q = inverse(sigma_r)
+            labinfs = [LabeledPermutation(q, c) for c in _labeled_cycles(q, nu)]
+            comps.append((tuple(tau[t] for t in pairs), labinfs))
+        for by_label in labelings:
+            lab0 = LabeledPermutation(p, by_label)
             for taus, labinfs in comps:
                 for labinf in labinfs:
                     yield MonodromySet(lab0, taus, labinf, params)
@@ -602,11 +586,9 @@ def monodromy_classes(params: HurwitzParams) -> MonodromyClasses:
     mu, nu, d = params.mu, params.nu, params.d
     rep = canonical_perm_of_type(mu)
     lab0 = LabeledPermutation(rep, tuple(cycles(rep)))
-    pair = {transposition(d, *q): q for q in itertools.combinations(range(d), 2)}
     classes = MonodromyClasses(params)
     class_of = classes._class_of
-    for taus, sigma_r in _completions(rep, params):
-        pairs = tuple(pair[t] for t in taus)
+    for pairs, sigma_r in _completions(rep, params):
         q = inverse(sigma_r)
         for by_label in _labeled_cycles(q, nu):
             aligned = pairs, tuple(tuple(sorted(c)) for c in by_label)
@@ -615,6 +597,7 @@ def monodromy_classes(params: HurwitzParams) -> MonodromyClasses:
             orbit = _rotation_orbit(mu, aligned)
             entry = len(classes), orbit.count(aligned)
             class_of.update(dict.fromkeys(orbit, entry))
+            taus = tuple(transposition(d, i, j) for i, j in pairs)
             labinf = LabeledPermutation(q, by_label)
             classes.append((MonodromySet(lab0, taus, labinf, params), entry[1]))
     return classes

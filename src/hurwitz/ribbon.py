@@ -468,7 +468,7 @@ def _base_map_classes(r: int, m: int, n: int, caps=None) -> list:
     bound of the medial edge {2x, 2 sigma(x)+1}, 1 when x's edge >= sigma(x)'s
     edge.  Consumers read a face as the darts carrying its index, and its need
     as the sum of their lower bounds.  The 20,640 records of the r = 5 (2, 3)
-    bucket take 5.5 MB (tracemalloc), against 19.6 MB as dicts of five tuples.
+    bucket take 5.5 MB (tracemalloc).
 
     The representatives come from orderly generation: a depth-first search
     assigns sigma two darts at a time, the darts 2j and 2j+1 of edge j, trying

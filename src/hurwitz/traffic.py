@@ -224,8 +224,8 @@ def chain_to_ribbon(ms: MonodromySet):
     germ is met), and the skeleton is the medial graph of sigma.  A white
     face, a cycle of sigma, keeps the ticks of a cycle of sigma_0, a gray
     face, a cycle of x -> sigma(x)^1, those of a cycle of sigma_r, which is
-    a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked; each face
-    takes the label of that cycle, read at any one of its ticks.
+    a cycle of sigma_inf once sigma_inf . sigma_r = 1 is checked.  Each
+    cycle's label is walked around its face from the dart of its first tick.
     """
     params = ms.params
     d, r = params.d, params.r
@@ -252,11 +252,13 @@ def chain_to_ribbon(ms: MonodromySet):
 
     sigma = []  # the edge from out-germ 2a arrives at in-germ 2 sigma(a)+1
     ticks_of = []  # and carries the ticks ticks_of[a]
+    dart_of = [0] * d  # tick t lies on the edge of out-germ 2 dart_of[t]
     for a in range(2 * r):
         ticks = []
         item = nxt[d + 2 * a]
         while item < d:
             ticks.append(item)
+            dart_of[item] = a
             item = nxt[item]
         if (item - d) % 2 == 0:
             raise InvalidChain("malformed boundary: out-germ meets out-germ")
@@ -266,13 +268,13 @@ def chain_to_ribbon(ms: MonodromySet):
         raise InvalidChain("a boundary circle never met a vertex")
 
     face_labels = []  # per sigma dart, its white face's label, then its gray one's
-    for perm, labeled in ((sigma, ms.sigma0), ([b ^ 1 for b in sigma], ms.sigma_inf)):
-        label_of = {t: k for k, c in enumerate(labeled.cycles_by_label, 1) for t in c}
-        labels = [0] * (2 * r)
-        for cycle in cycles(perm):
-            label = label_of[next(t for a in cycle for t in ticks_of[a])]
-            for a in cycle:
-                labels[a] = label
+    for flip, labeled in ((0, ms.sigma0), (1, ms.sigma_inf)):
+        labels = [0] * (2 * r)  # a face that no labeled cycle reaches keeps 0
+        for k, cycle in enumerate(labeled.cycles_by_label, 1):
+            a = dart_of[cycle[0]]
+            while not labels[a]:
+                labels[a] = k
+                a = sigma[a] ^ flip
         face_labels.append(labels)
     try:  # a chain that is not transitive, or labels that miss mu or nu
         skeleton = medial_skeleton(medial_map(sigma), *face_labels)

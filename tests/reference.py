@@ -128,19 +128,21 @@ def all_transpositions(d: int) -> list:
 
 
 def brute_force_completions(sigma0, params) -> list:
-    """Every (tau_1..tau_r, sigma_r) completing sigma0 to a transitive chain
-    ending in type nu, by a scan of all r-tuples of transpositions in
-    lexicographic order of their (i, j) pairs."""
-    want = params.nu.sorted_desc()
+    """Every (pairs, sigma_r) completing sigma0 to a transitive chain ending
+    in type nu, tau_k given as its moved points (i, j), i < j, by a scan of
+    all r-tuples of transpositions in lexicographic order of their pairs."""
+    d, want = params.d, params.nu.sorted_desc()
+    moves = list(itertools.combinations(range(d), 2))
     out = []
-    for taus in itertools.product(all_transpositions(params.d), repeat=params.r):
+    for pairs in itertools.product(moves, repeat=params.r):
+        taus = [P.transposition(d, i, j) for i, j in pairs]
         sigma = sigma0
         for t in taus:
             sigma = P.compose(t, sigma)
         if P.cycle_type(sigma).sorted_desc() != want:
             continue
-        if P.is_transitive([sigma0, *taus], params.d):
-            out.append((taus, sigma))
+        if P.is_transitive([sigma0, *taus], d):
+            out.append((pairs, sigma))
     return out
 
 

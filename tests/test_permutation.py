@@ -180,6 +180,24 @@ def test_completions_match_brute_force_scan():
         assert P._completions(rep, params) == brute, params
 
 
+def test_stream_chains_match_brute_force_from_every_sigma0():
+    """The set stream conjugates the walk from the canonical sigma_0 to every
+    other one; from each sigma_0 of type mu its (pairs, sigma_r) are exactly
+    the brute-force completions of that sigma_0."""
+    for params in all_params(4, 3):
+        chains = {}
+        for ms in P.enumerate_monodromy_sets(params):
+            pairs = tuple(
+                tuple(x for x, y in enumerate(t) if x != y) for t in ms.taus
+            )
+            sigma_r = P.inverse(ms.sigma_inf.perm)
+            chains.setdefault(ms.sigma0.perm, set()).add((pairs, sigma_r))
+        for p in P.perms_of_type(params.d, params.mu):
+            brute = set(brute_force_completions(p, params))
+            assert chains.pop(p, set()) == brute, (params, p)
+        assert not chains, params
+
+
 # d <= 7 and 1 <= r <= 6, where the chain walk visits at most C(d, 2)^r leaves
 # (at most 100,000), so the walk can serve as the reference
 WALKABLE = [
