@@ -181,7 +181,10 @@ class HurwitzParams:
 # Largest r the ribbon method accepts.  Its tables hold the connected maps on
 # 2r darts up to per-edge swaps with m vertices and n faces: at most 20,640
 # records at r = 5, built in under a second, but about 12!/2^6 = 7.5 M over
-# all buckets at r = 6, whose per-bucket cost is not yet tabulated.
+# all buckets at r = 6.  A count builds only the records under its caps;
+# test_bounded_r6_tables_pinned in tests/test_ribbon.py pins three r = 6
+# tables under caps (4,276 to 33,665 records, about 0.2 to 1 s each on a
+# 2-core VM), the starting point for a per-bucket cost rule.
 MAX_RIBBON_R = 5
 
 

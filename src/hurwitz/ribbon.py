@@ -471,16 +471,17 @@ def _base_map_classes(r: int, m: int, n: int, caps=None) -> list:
     bucket take 5.5 MB (tracemalloc).
 
     The representatives come from orderly generation: a depth-first search
-    assigns sigma two darts at a time, the darts 2j and 2j+1 of edge j, trying
-    values in increasing order, so classes appear in lexicographic order of
-    sigma.  For x < 2j + 2 the conjugate value (t sigma t)[x] = t[sigma[t[x]]]
-    is already fixed, because t keeps every edge's darts together.  The search
-    carries the nontrivial tables whose conjugate still ties sigma on the
-    assigned prefix: one that compares smaller proves no completion minimal
-    and prunes the branch, one that compares larger is dropped, and one that
-    ties again is passed down.  At a leaf the tables still tied satisfy
-    t sigma t = sigma, so together with the identity they are exactly the
-    swap stabilizer.
+    assigns sigma one dart at a time, trying values in increasing order, so
+    classes appear in lexicographic order of sigma.  Once the darts 2j and
+    2j+1 of edge j have values, the conjugate value (t sigma t)[x] =
+    t[sigma[t[x]]] is fixed for x < 2j + 2, because t keeps every edge's
+    darts together.  The search carries the nontrivial tables whose
+    conjugate still ties sigma on the assigned edges and compares them at
+    each edge's second dart: one that compares smaller proves no completion
+    minimal and prunes the branch, one that compares larger is dropped, and
+    one that ties again is passed down.  At a leaf the tables still tied
+    satisfy t sigma t = sigma, so together with the identity they are
+    exactly the swap stabilizer.
 
     The search also follows the partial sigma and the partial gray walk
     phi(x) = sigma(x)^1 as open paths plus closed cycles.  With k darts left
@@ -495,6 +496,17 @@ def _base_map_classes(r: int, m: int, n: int, caps=None) -> list:
     grow, so a branch is pruned once the sum passes total or a path's need
     passes its color's cap, and the table holds exactly the classes of the
     bucket that meet the caps, still in lexicographic order.
+
+    The total also has a floor on the need still to come.  Before edge j is
+    assigned, the darts of edges j..r-1 are unassigned, and a dart's lower
+    bound is 0 only if its value lies on a later edge.  The later edges of
+    edge j include those of every edge after it, so matching each edge's
+    two darts to unused values of later edges not yet matched, from edge
+    r-1 down to edge j, matches as many darts as any completion can; the
+    floor is 2(r - j) minus the matches.  A branch whose total plus floor
+    passes total has no leaf under the caps and is pruned.  The floor is
+    skipped where even 2(r - j) more would not pass total, as always when
+    total is 2r.
     """
     most = 2 * r
     caps = tuple(min(c, most) for c in caps or (most,) * 3)
@@ -506,125 +518,130 @@ def _map_table(r: int, m: int, n: int, caps: tuple) -> list:
     """_base_map_classes(r, m, n, caps) with caps clamped."""
     nd = 2 * r
     tables = _swap_tables(r)
+    trivial = (tables[0],)
     out = []
     sigma = [0] * nd
     used = [False] * nd
+    # lows[x][u]: the lower bound of dart x when sigma(x) = u
+    lows = [[int(x // 2 >= u // 2) for u in range(nd)] for x in range(nd)]
     # Open paths of a partial permutation p: start[x] is the first dart of the
     # path ending at a dart x with p(x) unassigned, end[y] the last dart of the
     # path starting at a dart y outside the image, need[y] the need of that
-    # path, or of the cycle closed at y.  Index 0 follows sigma, index 1
-    # follows phi; closed counts their cycles, and total sums the bounds.
-    start = (list(range(nd)), list(range(nd)))
-    end = (list(range(nd)), list(range(nd)))
-    need = ([0] * nd, [0] * nd)
-    closed = [0, 0]
-    total = 0
-    target = (m, n)
-    total_cap, face_cap = caps[0], caps[1:]
+    # path, or of the cycle closed at y.  The 0 arrays follow sigma, the 1
+    # arrays phi.
+    start0, end0, need0 = list(range(nd)), list(range(nd)), [0] * nd
+    start1, end1, need1 = list(range(nd)), list(range(nd)), [0] * nd
+    total_cap, white_cap, gray_cap = caps
 
-    def link(x, u):
-        """Set sigma(x) = u; False if the cycle counts can no longer reach
-        (m, n) with the darts after x still unassigned, or a need passes its
-        cap."""
-        nonlocal total
+    def still_tied(tied, a, b):
+        """The tables of tied whose conjugate ties sigma on the darts of the
+        edge {a, b}, or None if one compares smaller."""
+        u, v = sigma[a], sigma[b]
+        still = []
+        for t in tied:
+            c = t[sigma[t[a]]]
+            if c != u:
+                if c < u:
+                    return None
+                continue
+            c = t[sigma[t[b]]]
+            if c == v:
+                still.append(t)
+            elif c < v:
+                return None
+        return still
+
+    def extend(x, tied, total, c0, c1):
+        """Try every value of sigma(x), the darts before x assigned: total
+        sums their bounds, and c0 and c1 count the closed sigma and phi
+        cycles."""
+        if x == nd:
+            # connectivity under <sigma, xor 1>
+            comp = 1
+            frontier = [0]
+            while frontier:
+                y = frontier.pop()
+                for z in (sigma[y], y ^ 1):
+                    if not (comp >> z) & 1:
+                        comp |= 1 << z
+                        frontier.append(z)
+            if comp != (1 << nd) - 1:
+                return
+            # face indices by one walk, each color's faces by minimum dart
+            white, gray = [-1] * nd, [-1] * nd
+            i = k = 0
+            for y in range(nd):
+                z = y
+                while white[z] < 0:
+                    white[z] = i
+                    z = sigma[z]
+                i += white[y] == i
+                z = y
+                while gray[z] < 0:
+                    gray[z] = k
+                    z = sigma[z] ^ 1
+                k += gray[y] == k
+            stab = (*trivial, *tied) if tied else trivial
+            lower = bytes([lows[y][u] for y, u in enumerate(sigma)])
+            out.append(_MapRecord(bytes(sigma), stab, bytes(white), bytes(gray), lower))
+            return
+        odd = x & 1
+        if not odd and total + nd - x > total_cap:
+            # floor: the darts x..nd-1 still to come each add 0 only on an
+            # unused value of a later edge, and each value serves one dart
+            pool = zeros = 0
+            for e in range(nd - 2, x - 2, -2):
+                take = 2 if pool > 2 else pool
+                zeros += take
+                pool += (not used[e]) + (not used[e + 1]) - take
+            if total + nd - x - zeros > total_cap:
+                return
+        low_x = lows[x]
         left = nd - 1 - x
-        low = x // 2 >= u // 2
-        total += low
-        ok = total <= total_cap
-        for p, y in ((0, u), (1, u ^ 1)):
-            s, e = start[p][x], end[p][y]
-            if s == y:
-                closed[p] += 1
-            else:
-                start[p][e] = s
-                end[p][s] = e
-                need[p][s] += need[p][y]
-            need[p][s] += low
-            if need[p][s] > face_cap[p]:
-                ok = False
-            if not closed[p] + (left > 0) <= target[p] <= closed[p] + left:
-                ok = False
-        return ok
-
-    def unlink(x, u):
-        nonlocal total
-        low = x // 2 >= u // 2
-        total -= low
-        for p, y in ((0, u), (1, u ^ 1)):
-            s, e = start[p][x], end[p][y]
-            need[p][s] -= low
-            if s == y:
-                closed[p] -= 1
-            else:
-                start[p][e] = y
-                end[p][s] = x
-                need[p][s] -= need[p][y]
-
-    trivial = (tables[0],)
-
-    def add_if_connected(tied):
-        # connectivity under <sigma, xor 1>
-        comp = 1
-        frontier = [0]
-        cnt = 1
-        while frontier:
-            x = frontier.pop()
-            for y in (sigma[x], x ^ 1):
-                if not (comp >> y) & 1:
-                    comp |= 1 << y
-                    cnt += 1
-                    frontier.append(y)
-        if cnt != nd:
-            return
-        s = bytes(sigma)
-        out.append(
-            _MapRecord(
-                s,
-                (tables[0], *tied) if tied else trivial,
-                bytes(_orbits(s)[1]),
-                bytes(_orbits([y ^ 1 for y in s])[1]),
-                bytes(x // 2 >= y // 2 for x, y in enumerate(s)),
-            )
-        )
-
-    def extend(j, tied):
-        if j == r:
-            add_if_connected(tied)
-            return
-        a, b = 2 * j, 2 * j + 1
+        more = left > 0
         for u in range(nd):
             if used[u]:
                 continue
-            used[u] = True
-            sigma[a] = u
-            if link(a, u):
-                for v in range(nd):
-                    if used[v]:
-                        continue
-                    sigma[b] = v
-                    # a break means some conjugate is smaller: prune the branch
-                    still = []
-                    for t in tied:
-                        c = t[sigma[t[a]]]
-                        if c != u:
-                            if c < u:
-                                break
-                            continue
-                        c = t[sigma[t[b]]]
-                        if c == v:
-                            still.append(t)
-                        elif c < v:
-                            break
-                    else:
-                        if link(b, v):
-                            used[v] = True
-                            extend(j + 1, still)
-                            used[v] = False
-                        unlink(b, v)
-            unlink(a, u)
-            used[u] = False
+            sigma[x] = u
+            still = tied
+            if odd and tied:
+                # None means some conjugate is smaller: prune the branch
+                still = still_tied(tied, x - 1, x)
+                if still is None:
+                    continue
+            # join x's open paths to those of u (sigma) and u ^ 1 (phi)
+            low = low_x[u]
+            v = u ^ 1
+            s0, s1 = start0[x], start1[x]
+            if s0 != u:
+                e = end0[u]
+                start0[e], end0[s0] = s0, e
+                need0[s0] += need0[u]
+            if s1 != v:
+                e = end1[v]
+                start1[e], end1[s1] = s1, e
+                need1[s1] += need1[v]
+            need0[s0] += low
+            need1[s1] += low
+            d0, d1 = c0 + (s0 == u), c1 + (s1 == v)
+            if (
+                total + low <= total_cap
+                and need0[s0] <= white_cap and need1[s1] <= gray_cap
+                and d0 + more <= m <= d0 + left and d1 + more <= n <= d1 + left
+            ):
+                used[u] = True
+                extend(x + 1, still, total + low, d0, d1)
+                used[u] = False
+            need0[s0] -= low
+            need1[s1] -= low
+            if s0 != u:
+                start0[end0[u]], end0[s0] = u, x
+                need0[s0] -= need0[u]
+            if s1 != v:
+                start1[end1[v]], end1[s1] = v, x
+                need1[s1] -= need1[v]
 
-    extend(0, tables[1:])
+    extend(0, tables[1:], 0, 0, 0)
     return out
 
 
@@ -791,27 +808,30 @@ def _distinct_orderings(parts) -> list:
     return sorted(set(itertools.permutations(parts)))
 
 
-def _weighted_records(params: HurwitzParams):
-    """Yield (record, cells, white orderings, gray orderings) for each table
-    record that some ordering of mu on its white faces and of nu on its gray
-    faces may weight: every part must cover its face's need, the sum of the
-    lower bounds on the face.  The table holds only the records whose needs
-    sum to at most d and whose every need is at most the largest part of its
-    color."""
+def _weighted_table(params: HurwitzParams):
+    """(table, fit) for the records that some ordering of mu on their white
+    faces and of nu on their gray faces may weight: every part must cover
+    its face's need, the sum of the lower bounds on the face.  The table
+    holds only the records whose needs sum to at most d and whose every
+    need is at most the largest part of its color; fit(cells) gives the
+    white and gray orderings that cover a record's needs."""
     mu, nu = params.mu.parts, params.nu.parts
     mu_orders = _distinct_orderings(mu)
     nu_orders = _distinct_orderings(nu)
-    caps = (params.d, max(mu), max(nu))
-    for record in _base_map_classes(params.r, params.m, params.n, caps):
+
+    def fit(cells):
         w_need = [0] * params.m
         g_need = [0] * params.n
-        for i, j, low in zip(record.white, record.gray, record.lower):
+        for i, j, _, low, _ in cells:
             w_need[i] += low
             g_need[j] += low
-        white_orders = [a for a in mu_orders if all(map(ge, a, w_need))]
-        gray_orders = [b for b in nu_orders if all(map(ge, b, g_need))]
-        if white_orders and gray_orders:
-            yield record, _record_cells(record), white_orders, gray_orders
+        return (
+            [a for a in mu_orders if all(map(ge, a, w_need))],
+            [b for b in nu_orders if all(map(ge, b, g_need))],
+        )
+
+    caps = (params.d, max(mu), max(nu))
+    return _base_map_classes(params.r, params.m, params.n, caps), fit
 
 
 def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
@@ -825,8 +845,14 @@ def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
     prod(multiplicity of each value)! labelings of each side put the same
     values there; so the count runs over the distinct orderings of mu on the
     white faces and of nu on the gray faces, counting weightings per cell
-    (_cell_totals).  Every |S| divides 2^r, so the sum stays an integer over
-    the common denominator 2^r.
+    (_cell_totals).  The orderings that fit a record and its pair count
+    follow from its cell shape, the (i, j, k, l) of every cell, so each
+    distinct shape is counted once per call: 660 shapes among the 2,100
+    records of the r = 5 count.  The key is the bytes of every dart's code
+    (i n + j) 2 + lower bound, sorted, which fixes each cell's k and l;
+    codes stay under 2mn <= (r + 2)^2 / 2, a byte while r <= 20.  Every |S|
+    divides 2^r, so the sum stays an integer over the common denominator
+    2^r.
     """
     check_method_r("ribbon", params.r)
     r = params.r
@@ -834,15 +860,23 @@ def count_hurwitz_ribbon(params: HurwitzParams) -> Fraction:
     for parts in (params.mu.parts, params.nu.parts):
         for value in set(parts):
             labelings *= factorial(parts.count(value))
+    n = params.n
+    table, fit = _weighted_table(params)
     total = 0
-    for record, cells, white_orders, gray_orders in _weighted_records(params):
-        pairs = sum(
-            number
-            for a in white_orders
-            for b in gray_orders
-            for _, number in _cell_totals(cells, a, b)
-        )
-        total += pairs * ((1 << r) // len(record.stab))
+    memo = {}  # pairs per cell shape
+    for record in table:
+        codes = zip(record.white, record.gray, record.lower)
+        shape = bytes(sorted([(i * n + j) * 2 + low for i, j, low in codes]))
+        if shape not in memo:
+            cells = _record_cells(record)
+            white_orders, gray_orders = fit(cells)
+            memo[shape] = sum(
+                number
+                for a in white_orders
+                for b in gray_orders
+                for _, number in _cell_totals(cells, a, b)
+            )
+        total += memo[shape] * ((1 << r) // len(record.stab))
     return Fraction(total * labelings, 1 << r)
 
 
@@ -855,8 +889,12 @@ def hurwitz_ribbon_classes(params: HurwitzParams):
     check_method_r("ribbon", params.r)
     mu, nu = params.mu, params.nu
     out = []
-    for record, cells, white_orders, gray_orders in _weighted_records(params):
-        white_ok, gray_ok = set(white_orders), set(gray_orders)
+    table, fit = _weighted_table(params)
+    for record in table:
+        cells = _record_cells(record)
+        white_ok, gray_ok = map(set, fit(cells))
+        if not (white_ok and gray_ok):
+            continue
         cache = {}
 
         def weightings(vlab, glab):

@@ -446,9 +446,30 @@ def bucket_and_caps(draw):
     return r, m, n, caps
 
 
+# sizes of the r = 5 (2, 3) bucket under the caps of the examples below
+R5_BOUNDED_SIZES = {
+    (2, 10, 10): 0,
+    (3, 10, 10): 40,
+    (4, 3, 2): 1335,
+    (5, 3, 2): 2100,
+    (6, 3, 2): 2120,
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(bucket_and_caps())
 @example((5, 2, 3, (5, 3, 2)))
+@example((5, 2, 3, (4, 3, 2)))
+@example((5, 2, 3, (6, 3, 2)))
+# total caps at a bucket's least total need, and one below it
+@example((5, 2, 3, (3, 10, 10)))
+@example((5, 2, 3, (2, 10, 10)))
+@example((4, 1, 5, (5, 8, 8)))
+@example((4, 1, 5, (4, 8, 8)))
+@example((4, 2, 4, (4, 3, 2)))
+@example((4, 2, 4, (3, 3, 2)))
+@example((3, 1, 4, (4, 6, 6)))
+@example((3, 1, 4, (3, 6, 6)))
 def test_bounded_table_is_the_filtered_table(case):
     """The search under caps keeps exactly the records of the full table
     that meet them: same records, same order, same stabilizers."""
@@ -457,7 +478,45 @@ def test_bounded_table_is_the_filtered_table(case):
     bounded = R._base_map_classes(r, m, n, caps)
     assert bounded == [record for record in full if _meets(record, caps)]
     if r == 5:
-        assert len(bounded) == 2100
+        assert len(bounded) == R5_BOUNDED_SIZES[caps]
+
+
+@pytest.mark.parametrize(
+    "bucket, caps, size, digest",
+    [
+        (
+            (6, 2, 2),
+            (4, 3, 2),
+            4276,
+            "87a9aba405b0c53ed78fd96b5e57c69d8e1f3ddfe13b0ccbb1ae1b17c75296f0",
+        ),
+        (
+            (6, 1, 1),
+            (5, 5, 5),
+            25851,
+            "804df2aa24a6e342732ae7f83af68af74a9c9efb42c096db2a6bdba653e57b79",
+        ),
+        (
+            (6, 1, 5),
+            (6, 6, 2),
+            33665,
+            "ac9b34936597cceb09ee6adbbade6cb0a10dcfa6671c919ae08c9bdc0844c7c2",
+        ),
+    ],
+    ids=["6-2-2", "6-1-1", "6-1-5"],
+)
+def test_bounded_r6_tables_pinned(bucket, caps, size, digest):
+    """Three r = 6 tables under caps, as sizes and digests taken from the
+    search before it had the floor on the need still to come.  No full r = 6
+    table is affordable to filter (the (2, 2) bucket holds 901,140 records),
+    so these pins are the check of the floor past r = 5."""
+    r = bucket[0]
+    try:
+        records = R._base_map_classes(*bucket, caps)
+        assert len(records) == size
+        assert _table_digest(records, r) == digest
+    finally:
+        R._base_map_classes.cache_clear()
 
 
 def test_caps_clamp_at_two_r():
